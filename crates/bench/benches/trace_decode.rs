@@ -10,6 +10,11 @@
 //! ~62k-record two-thread trace; each run prints the record total so
 //! logs can convert the mean into records/sec directly.
 //!
+//! The write side gets report-only ids in the same units:
+//! `trace_encode/v1` and `trace_encode/v2` time one `TraceWriter` pass
+//! that encodes the same records (pre-generated, so synthesis is not
+//! timed) into an in-memory container, raw and dict-compressed.
+//!
 //! Note the drain does no work between records, so the worker>0 ids
 //! measure the pipeline's synchronization overhead at maximum pull rate
 //! — its worst case. In a real replay the simulator burns cycles per
@@ -17,13 +22,15 @@
 //! overhead stays bounded, which the gate enforces.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use std::io::{Cursor, Seek, Write};
 use std::path::PathBuf;
 use tracegen::trace::{self, Compression, DecodeOptions};
-use tracegen::{workload, TraceGenerator};
+use tracegen::{workload, MemRecord, TraceGenerator};
 
 const RECORDS_PER_THREAD: u64 = 31_000;
 
-fn write_container(path: &PathBuf, compression: Compression) -> u64 {
+/// The bench container's metadata and per-thread record streams.
+fn streams() -> (trace::TraceMeta, Vec<Vec<MemRecord>>) {
     let wl = workload("2T_02").unwrap(); // mcf + parser: delta-rich streams
     let meta = trace::TraceMeta {
         workload: wl.name.clone(),
@@ -33,16 +40,33 @@ fn write_container(path: &PathBuf, compression: Compression) -> u64 {
         insts: 0,
         scheme: None,
     };
-    let file = std::fs::File::create(path).unwrap();
-    let mut w = trace::TraceWriter::create_with(file, &meta, compression).unwrap();
-    for (t, profile) in wl.profiles().iter().enumerate() {
-        let mut g = TraceGenerator::new(profile.clone(), 42 + t as u64);
-        for _ in 0..RECORDS_PER_THREAD {
-            w.push(t, g.next_record()).unwrap();
+    let streams = wl
+        .profiles()
+        .iter()
+        .enumerate()
+        .map(|(t, profile)| {
+            let mut g = TraceGenerator::new(profile.clone(), 42 + t as u64);
+            (0..RECORDS_PER_THREAD).map(|_| g.next_record()).collect()
+        })
+        .collect();
+    (meta, streams)
+}
+
+/// Encode `streams` into `out` and return the record total.
+fn encode<W: Write + Seek>(
+    out: W,
+    meta: &trace::TraceMeta,
+    streams: &[Vec<MemRecord>],
+    compression: Compression,
+) -> (W, u64) {
+    let mut w = trace::TraceWriter::create_with(out, meta, compression).unwrap();
+    for (t, stream) in streams.iter().enumerate() {
+        for &rec in stream {
+            w.push(t, rec).unwrap();
         }
     }
-    w.finish().unwrap();
-    RECORDS_PER_THREAD * wl.profiles().len() as u64
+    let total = streams.iter().map(|s| s.len() as u64).sum();
+    (w.finish().unwrap(), total)
 }
 
 fn drain(path: &PathBuf, decode: &DecodeOptions, total: u64) {
@@ -62,8 +86,10 @@ fn bench_trace_decode(c: &mut Criterion) {
     let dir = std::env::temp_dir();
     let v1 = dir.join("plru_bench_decode_v1.pltc");
     let v2 = dir.join("plru_bench_decode_v2.pltc");
-    let total = write_container(&v1, Compression::None);
-    write_container(&v2, Compression::Dict);
+    let (meta, streams) = streams();
+    let file = |path: &PathBuf| std::fs::File::create(path).unwrap();
+    let (_, total) = encode(file(&v1), &meta, &streams, Compression::None);
+    encode(file(&v2), &meta, &streams, Compression::Dict);
 
     let mut group = c.benchmark_group("trace_decode");
     group.sample_size(10);
@@ -83,5 +109,21 @@ fn bench_trace_decode(c: &mut Criterion) {
     let _ = std::fs::remove_file(&v2);
 }
 
-criterion_group!(benches, bench_trace_decode);
+fn bench_trace_encode(c: &mut Criterion) {
+    let (meta, streams) = streams();
+    let mut group = c.benchmark_group("trace_encode");
+    group.sample_size(10);
+    for (id, compression) in [("v1", Compression::None), ("v2", Compression::Dict)] {
+        group.bench_function(id, |b| {
+            b.iter(|| {
+                let (out, total) = encode(Cursor::new(Vec::new()), &meta, &streams, compression);
+                black_box(out);
+                total
+            })
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_trace_decode, bench_trace_encode);
 criterion_main!(benches);

@@ -270,6 +270,8 @@ pub struct TraceWriter<W: Write + Seek> {
     compression: Compression,
     /// Scratch for the compressed form of the chunk being flushed.
     comp: Vec<u8>,
+    /// Dictionary-trainer scratch, reused by every chunk.
+    trainer: dict::Trainer,
 }
 
 impl<W: Write + Seek> TraceWriter<W> {
@@ -314,6 +316,7 @@ impl<W: Write + Seek> TraceWriter<W> {
             bufs: (0..threads).map(|_| ChunkBuf::default()).collect(),
             compression,
             comp: Vec::new(),
+            trainer: dict::Trainer::default(),
         })
     }
 
@@ -367,7 +370,7 @@ impl<W: Write + Seek> TraceWriter<W> {
             }
             Compression::Dict => {
                 let raw_len = buf.payload.len() as u32;
-                dict::compress(&buf.payload, &mut self.comp);
+                self.trainer.compress(&buf.payload, &mut self.comp);
                 let (codec, bytes) = if self.comp.len() < buf.payload.len() {
                     (CODEC_DICT, self.comp.as_slice())
                 } else {

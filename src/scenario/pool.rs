@@ -174,15 +174,23 @@ impl WorkerPool {
     }
 
     /// Run one pre-expanded case list to completion and return reports
-    /// ordered by case index — the one-shot orchestration used by
-    /// [`SweepRunner`](crate::scenario::SweepRunner). Panics if a case
-    /// panicked (matching the old scoped-runner behaviour).
+    /// in slice order — the one-shot orchestration used by
+    /// [`SweepRunner`](crate::scenario::SweepRunner). Each report keeps
+    /// its case's own `index`, which need not be the case's position
+    /// (a subset of an expanded spec, say). Panics if a case panicked
+    /// (matching the old scoped-runner behaviour).
     pub fn run_ordered(&self, cases: &[ScenarioCase]) -> Vec<CaseReport> {
         let (tx, rx) = std::sync::mpsc::channel();
         let never_cancelled = Arc::new(AtomicBool::new(false));
-        for case in cases {
+        // Outcomes come back tagged with the submitted case's index, so
+        // submit each case under its position and restore the index on
+        // the report.
+        for (pos, case) in cases.iter().enumerate() {
             self.submit(CaseTask {
-                case: case.clone(),
+                case: ScenarioCase {
+                    index: pos,
+                    ..case.clone()
+                },
                 cancelled: never_cancelled.clone(),
                 sink: tx.clone(),
             });
@@ -191,12 +199,15 @@ impl WorkerPool {
         let mut slots: Vec<Option<CaseReport>> = (0..cases.len()).map(|_| None).collect();
         for _ in 0..cases.len() {
             match rx.recv().expect("pool outlives the sweep") {
-                CaseOutcome::Completed { index, report } => slots[index] = Some(*report),
+                CaseOutcome::Completed { index, mut report } => {
+                    report.case.index = cases[index].index;
+                    slots[index] = Some(*report);
+                }
                 CaseOutcome::Skipped { index } => {
-                    unreachable!("case {index} skipped without a cancellation")
+                    unreachable!("case {} skipped without a cancellation", cases[index].index)
                 }
                 CaseOutcome::Failed { index, message } => {
-                    panic!("sweep case {index} panicked: {message}")
+                    panic!("sweep case {} panicked: {message}", cases[index].index)
                 }
             }
         }
@@ -372,6 +383,27 @@ mod tests {
         for (i, r) in reports.iter().enumerate() {
             assert_eq!(r.case.index, i);
         }
+        pool.shutdown();
+    }
+
+    #[test]
+    fn run_ordered_accepts_cases_not_indexed_by_position() {
+        // A subset of an expanded spec: indices outside 0..len, out of
+        // order and repeated. Reports follow the slice and keep each
+        // case's own index.
+        let pool = WorkerPool::new(2, Arc::default(), false);
+        let all = tiny_cases();
+        let last = all.last().unwrap().clone();
+        let first = all.first().unwrap().clone();
+        assert!(last.index > 0);
+        let subset = vec![last.clone(), first, last];
+        let reports = pool.run_ordered(&subset);
+        assert_eq!(reports.len(), subset.len());
+        for (r, c) in reports.iter().zip(&subset) {
+            assert_eq!(r.case, *c);
+            assert_eq!(r.scheme, c.scheme.acronym());
+        }
+        assert_eq!(reports[0].result.ipcs(), reports[2].result.ipcs());
         pool.shutdown();
     }
 

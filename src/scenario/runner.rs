@@ -94,7 +94,8 @@ impl SweepRunner {
         })
     }
 
-    /// Run pre-expanded cases, returning reports ordered by case index.
+    /// Run pre-expanded cases, returning one report per case in slice
+    /// order; each report keeps its case's `index`.
     ///
     /// Each call spins up an ephemeral [`WorkerPool`] sized to
     /// `min(threads, cases)` and tears it down afterwards; a caller that
@@ -266,6 +267,18 @@ mod tests {
             assert_eq!(c.case, cases[i]);
             assert!(c.metrics.throughput > 0.0);
         }
+    }
+
+    #[test]
+    fn run_cases_on_one_case_of_an_expanded_spec() {
+        let spec = tiny_spec();
+        let cases = spec.expand().unwrap();
+        let full = SweepRunner::with_threads(2).run(&spec).unwrap();
+        let last = cases.len() - 1;
+        let one = SweepRunner::with_threads(2).run_cases(&cases[last..]);
+        assert_eq!(one.len(), 1);
+        assert_eq!(one[0].case, cases[last]);
+        assert_eq!(one[0].result.ipcs(), full.cases[last].result.ipcs());
     }
 
     #[test]
