@@ -37,6 +37,25 @@ pub struct L1Pair {
     pub dcache: Cache,
 }
 
+impl L1Pair {
+    /// Cold private L1s of one core: single-core caches, always true LRU
+    /// (Table II).
+    pub fn new(l1i_geom: CacheGeometry, l1d_geom: CacheGeometry) -> Self {
+        let private = |geometry| {
+            Cache::new(CacheConfig {
+                geometry,
+                policy: PolicyKind::Lru,
+                num_cores: 1,
+                seed: 0,
+            })
+        };
+        L1Pair {
+            icache: private(l1i_geom),
+            dcache: private(l1d_geom),
+        }
+    }
+}
+
 /// Per-level access counts of one batched hierarchy call; enough to charge
 /// miss penalties without materializing per-access outcomes.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -90,8 +109,8 @@ pub struct Hierarchy {
 }
 
 impl Hierarchy {
-    /// Build a hierarchy with identical private L1s per core and a shared
-    /// L2. L1s always use true LRU (Table II).
+    /// Build a hierarchy with identical private L1s per core (see
+    /// [`L1Pair::new`]) and a shared L2.
     pub fn new(
         num_cores: usize,
         l1i_geom: CacheGeometry,
@@ -101,20 +120,7 @@ impl Hierarchy {
         seed: u64,
     ) -> Self {
         let l1 = (0..num_cores)
-            .map(|_| L1Pair {
-                icache: Cache::new(CacheConfig {
-                    geometry: l1i_geom,
-                    policy: PolicyKind::Lru,
-                    num_cores: 1,
-                    seed: 0,
-                }),
-                dcache: Cache::new(CacheConfig {
-                    geometry: l1d_geom,
-                    policy: PolicyKind::Lru,
-                    num_cores: 1,
-                    seed: 0,
-                }),
-            })
+            .map(|_| L1Pair::new(l1i_geom, l1d_geom))
             .collect();
         let l2 = Cache::new(CacheConfig {
             geometry: l2_geom,

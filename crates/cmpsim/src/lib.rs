@@ -32,10 +32,12 @@ pub mod config;
 pub mod core_model;
 pub mod metrics;
 pub mod runner;
+pub mod solo;
 pub mod system;
 
 pub use config::{Latencies, MachineConfig};
 pub use core_model::CoreModel;
 pub use metrics::{harmonic_mean_of_relative_ipc, throughput, weighted_speedup, WorkloadMetrics};
 pub use runner::{parallel_map, IsolationCache, MemoStats};
+pub use solo::SoloStream;
 pub use system::{SimResult, System};

@@ -6,13 +6,14 @@
 //! threads (no `'static` bound on the work items) and memoises the
 //! expensive isolation runs every relative metric divides by.
 
-use crate::config::MachineConfig;
-use crate::system::System;
-use cachesim::PolicyKind;
+use crate::config::{Latencies, MachineConfig};
+use crate::solo::SoloStream;
+use cachesim::{CacheGeometry, PolicyKind};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Condvar, MutexGuard, PoisonError};
 
 /// Parallel map over `items`, preserving order. Work is distributed by an
 /// atomic cursor so uneven item costs (8-thread runs take 4x the work of
@@ -50,33 +51,116 @@ where
         .collect()
 }
 
-/// Key of one isolation run: the benchmark, the L2 policy, the seed salt
-/// and the whole solo machine (geometries, latencies, instruction target,
-/// seed) — every input that changes the resulting IPC. The full config
-/// matters because one `IsolationCache` may now be shared across engines
-/// built from different machines, and the salt matters because seed sweeps
-/// perturb the generated trace: without it a salted engine would divide by
-/// another salt's memoised isolation IPC.
+/// The front-end half of an isolation key: every input of a solo run
+/// except its L2 — the benchmark, the seed salt and the rest of the solo
+/// machine. The keys of one group share it, and with it the L2-visible
+/// stream a solo pass captures once for all of them. The caller's core
+/// count is deliberately absent: the solo machine is always single-core.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-struct IsoKey {
+struct FrontKey {
     benchmark: String,
-    policy: PolicyKind,
     seed_salt: u64,
-    solo_cfg: MachineConfig,
+    l1i: CacheGeometry,
+    l1d: CacheGeometry,
+    latencies: Latencies,
+    insts_target: u64,
+    insts_per_fetch_line: u64,
+    seed: u64,
 }
 
-/// Hit/miss counters of an [`IsolationCache`]: how often a requested
-/// isolation IPC was already memoised (`hits`) versus simulated from
-/// scratch (`misses`). `entries` is the current memo size. The sweep
-/// service surfaces these in its status response so a warm daemon can
-/// *prove* it skipped the solo runs of a repeated job.
+/// The L2 half of an isolation key: what a group's members differ in.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+struct L2Key {
+    policy: PolicyKind,
+    geometry: CacheGeometry,
+}
+
+/// Split a lookup into its group and member keys. The exhaustive
+/// destructuring makes a new `MachineConfig` field a compile error here
+/// until it is placed on one side of the split.
+fn iso_key(
+    cfg: &MachineConfig,
+    benchmark: &str,
+    policy: PolicyKind,
+    seed_salt: u64,
+) -> (FrontKey, L2Key) {
+    let &MachineConfig {
+        num_cores: _,
+        l1i,
+        l1d,
+        l2,
+        latencies,
+        insts_target,
+        insts_per_fetch_line,
+        seed,
+    } = cfg;
+    let front = FrontKey {
+        benchmark: benchmark.to_string(),
+        seed_salt,
+        l1i,
+        l1d,
+        latencies,
+        insts_target,
+        insts_per_fetch_line,
+        seed,
+    };
+    (
+        front,
+        L2Key {
+            policy,
+            geometry: l2,
+        },
+    )
+}
+
+impl FrontKey {
+    /// The single-core machine of this group with L2 shape `l2`.
+    fn solo_cfg(&self, l2: CacheGeometry) -> MachineConfig {
+        MachineConfig {
+            num_cores: 1,
+            l1i: self.l1i,
+            l1d: self.l1d,
+            l2,
+            latencies: self.latencies,
+            insts_target: self.insts_target,
+            insts_per_fetch_line: self.insts_per_fetch_line,
+            seed: self.seed,
+        }
+    }
+}
+
+/// Memo state of one group. A member key is in at most one of `filled`
+/// and `claimed`; `planned` never holds a filled key.
+#[derive(Debug, Default)]
+struct Group {
+    /// Finished isolation IPCs.
+    filled: HashMap<L2Key, f64>,
+    /// Keys a running solo pass will fill.
+    claimed: HashSet<L2Key>,
+    /// Keys that submitted-but-unfinished cases will look up, with the
+    /// number of cases that planned each.
+    planned: HashMap<L2Key, usize>,
+}
+
+impl Group {
+    fn is_idle(&self) -> bool {
+        self.filled.is_empty() && self.claimed.is_empty() && self.planned.is_empty()
+    }
+}
+
+/// Hit/miss counters of an [`IsolationCache`]. `misses` counts keys
+/// simulated (one per isolation IPC a solo pass computed); `hits` counts
+/// lookups that ran no pass — answered from the memo, or after waiting
+/// for another lookup's pass to fill the key. `entries` is the current
+/// memo size. The sweep service surfaces these in its status response so
+/// a warm daemon can *prove* it skipped the solo runs of a repeated job.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct MemoStats {
     /// Memoised (benchmark, policy, salt, solo machine) points.
     pub entries: u64,
-    /// Lookups answered from the memo.
+    /// Lookups answered without running a solo pass.
     pub hits: u64,
-    /// Lookups that had to simulate a solo run.
+    /// Isolation IPCs simulated.
     pub misses: u64,
 }
 
@@ -91,13 +175,28 @@ pub struct MemoStats {
 /// *core count* is deliberately not part of the key: the solo machine is
 /// always single-core, so engines of different widths share entries.
 ///
+/// **Solo passes and groups.** Keys that differ only in the L2 (policy
+/// and geometry) form a *group*: their solo runs share one generator
+/// seed, one pair of L1s and one L1-miss stream. A miss is filled by a
+/// [`SoloStream`] pass, which captures that stream once and replays it
+/// through one fresh L2 per key, one after another. Which keys ride
+/// along comes from the **plan**: a consumer that knows its upcoming
+/// lookups registers them with [`IsolationCache::plan`] (the sweep
+/// pool does so on submit), and the first lookup that misses *claims*
+/// every planned, unclaimed, unfilled key of its group and fills them
+/// all in one pass. A lookup of a claimed key waits for the pass instead
+/// of recomputing it; a pass that panics releases its remaining claims
+/// and wakes its waiters, which then claim the key themselves. A key
+/// nobody planned (a bare [`IsolationCache::isolation_ipc`] call) is a
+/// group of one. Plan entries go away when their key is filled or when
+/// the consumer withdraws them with [`IsolationCache::release_plan`].
+///
 /// Because the key is complete, a memoised value may be reused across
 /// *any* consumer that agrees on it — other engines, other sweeps, and
 /// (in the sweep service) other jobs for the whole daemon lifetime. The
 /// reuse guarantee is exact, not approximate: simulation is
-/// deterministic, so the memoised IPC is bit-identical to what a fresh
-/// solo run would produce. [`MemoStats`] counts how often each path was
-/// taken:
+/// deterministic, and the solo pass is bit-identical to a solo
+/// `System::run`. [`MemoStats`] counts how often each path was taken:
 ///
 /// ```
 /// use cmpsim::{IsolationCache, MachineConfig};
@@ -114,9 +213,13 @@ pub struct MemoStats {
 /// ```
 #[derive(Debug, Default)]
 pub struct IsolationCache {
-    map: Mutex<HashMap<IsoKey, f64>>,
+    /// A `std` mutex, because lookups wait on `settled`.
+    groups: std::sync::Mutex<HashMap<FrontKey, Group>>,
+    /// Signalled whenever a pass fills a key or releases its claims.
+    settled: Condvar,
     hits: AtomicU64,
     misses: AtomicU64,
+    passes: AtomicU64,
 }
 
 impl IsolationCache {
@@ -125,12 +228,22 @@ impl IsolationCache {
         Self::default()
     }
 
+    fn lock(&self) -> MutexGuard<'_, HashMap<FrontKey, Group>> {
+        // No simulation runs under the lock, and every update made under
+        // it leaves the groups consistent, so a guard poisoned by a
+        // panicking pass is still valid.
+        self.groups.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// IPC of `benchmark` running alone on a single-core machine derived
     /// from `cfg` (same caches, same latencies, full L2, no partitioning).
     ///
     /// `seed_salt` must match the salt of the shared run the caller
     /// divides by: it perturbs the generated trace, so the solo run is
     /// simulated — and memoised — under the same salt.
+    ///
+    /// # Panics
+    /// If `benchmark` names no known benchmark.
     pub fn isolation_ipc(
         &self,
         cfg: &MachineConfig,
@@ -138,28 +251,15 @@ impl IsolationCache {
         policy: PolicyKind,
         seed_salt: u64,
     ) -> f64 {
-        let mut solo = cfg.clone();
-        solo.num_cores = 1;
-        let key = IsoKey {
-            benchmark: benchmark.to_string(),
-            policy,
-            seed_salt,
-            solo_cfg: solo,
-        };
-        if let Some(&ipc) = self.map.lock().get(&key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return ipc;
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let profile = tracegen::benchmark(benchmark)
-            .unwrap_or_else(|| panic!("unknown benchmark {benchmark}"));
-        let mut sys = System::from_profiles(&key.solo_cfg, &[profile], policy, None, seed_salt);
-        let ipc = sys.run().ipc(0);
-        self.map.lock().insert(key, ipc);
-        ipc
+        self.isolation_ipcs(cfg, &[benchmark.to_string()], policy, seed_salt)[0]
     }
 
     /// Isolation IPCs for every benchmark of a workload, in thread order.
+    ///
+    /// A benchmark whose key another pass has claimed is put off, not
+    /// waited for, while some other benchmark of the list can still be
+    /// looked up or simulated; only when every remaining key is claimed
+    /// does the caller block until a pass settles one.
     pub fn isolation_ipcs(
         &self,
         cfg: &MachineConfig,
@@ -167,24 +267,133 @@ impl IsolationCache {
         policy: PolicyKind,
         seed_salt: u64,
     ) -> Vec<f64> {
-        benchmarks
+        let keys: Vec<(FrontKey, L2Key)> = benchmarks
             .iter()
-            .map(|b| self.isolation_ipc(cfg, b, policy, seed_salt))
-            .collect()
+            .map(|b| iso_key(cfg, b, policy, seed_salt))
+            .collect();
+        let mut ipcs: Vec<Option<f64>> = vec![None; keys.len()];
+        let mut groups = self.lock();
+        loop {
+            let mut progressed = false;
+            for ((front, l2), slot) in keys.iter().zip(ipcs.iter_mut()) {
+                if slot.is_some() {
+                    continue;
+                }
+                let group = groups.entry(front.clone()).or_default();
+                if let Some(&ipc) = group.filled.get(l2) {
+                    self.hits.fetch_add(1, Ordering::Relaxed);
+                    *slot = Some(ipc);
+                    progressed = true;
+                } else if !group.claimed.contains(l2) {
+                    // Claim this key first, then every planned key of the
+                    // group no pass has claimed yet (planned keys are
+                    // never filled).
+                    let mut members = vec![*l2];
+                    members.extend(
+                        group
+                            .planned
+                            .keys()
+                            .filter(|k| *k != l2 && !group.claimed.contains(k))
+                            .copied(),
+                    );
+                    group.claimed.extend(members.iter().copied());
+                    drop(groups);
+                    let mut claim = Claim {
+                        cache: self,
+                        front,
+                        pending: members,
+                    };
+                    *slot = Some(claim.run());
+                    groups = self.lock();
+                    progressed = true;
+                }
+            }
+            if ipcs.iter().all(Option::is_some) {
+                break;
+            }
+            if !progressed {
+                groups = self
+                    .settled
+                    .wait(groups)
+                    .unwrap_or_else(PoisonError::into_inner);
+            }
+        }
+        ipcs.into_iter().flatten().collect()
+    }
+
+    /// Announce that [`IsolationCache::isolation_ipcs`] will be called
+    /// with these arguments, so a solo pass of each benchmark's group
+    /// fills this key too. Planning is only a hint: it never changes a
+    /// value, only how many keys one pass fills. Already filled keys are
+    /// not planned. Each call should be matched by one
+    /// [`IsolationCache::release_plan`] once the lookups are done or
+    /// abandoned.
+    pub fn plan(
+        &self,
+        cfg: &MachineConfig,
+        benchmarks: &[String],
+        policy: PolicyKind,
+        seed_salt: u64,
+    ) {
+        let mut groups = self.lock();
+        for b in benchmarks {
+            let (front, l2) = iso_key(cfg, b, policy, seed_salt);
+            let group = groups.entry(front).or_default();
+            if !group.filled.contains_key(&l2) {
+                *group.planned.entry(l2).or_insert(0) += 1;
+            }
+        }
+    }
+
+    /// Withdraw one [`IsolationCache::plan`] call with the same
+    /// arguments. Keys filled since then are already gone from the plan.
+    pub fn release_plan(
+        &self,
+        cfg: &MachineConfig,
+        benchmarks: &[String],
+        policy: PolicyKind,
+        seed_salt: u64,
+    ) {
+        let mut groups = self.lock();
+        for b in benchmarks {
+            let (front, l2) = iso_key(cfg, b, policy, seed_salt);
+            let Some(group) = groups.get_mut(&front) else {
+                continue;
+            };
+            if let Some(n) = group.planned.get_mut(&l2) {
+                *n -= 1;
+                if *n == 0 {
+                    group.planned.remove(&l2);
+                }
+            }
+            if group.is_idle() {
+                groups.remove(&front);
+            }
+        }
+    }
+
+    /// Planned keys not yet filled.
+    pub fn planned(&self) -> usize {
+        self.lock().values().map(|g| g.planned.len()).sum()
+    }
+
+    /// Solo passes started over the cache's lifetime — one per front end
+    /// captured, however many keys each filled.
+    pub fn solo_passes(&self) -> u64 {
+        self.passes.load(Ordering::Relaxed)
     }
 
     /// Number of memoised entries.
     pub fn len(&self) -> usize {
-        self.map.lock().len()
+        self.lock().values().map(|g| g.filled.len()).sum()
     }
 
     /// Snapshot of the memo's hit/miss counters (see [`MemoStats`]).
     ///
     /// Counters are monotonic over the cache's lifetime; consumers that
     /// want a per-interval view (the sweep service's per-job deltas)
-    /// subtract two snapshots. Two racing lookups of one uncached key may
-    /// both count as misses — the counters describe work performed, not
-    /// distinct keys.
+    /// subtract two snapshots. Every key is simulated at most once per
+    /// cache, so `misses` never exceeds the distinct keys looked up.
     pub fn stats(&self) -> MemoStats {
         MemoStats {
             entries: self.len() as u64,
@@ -196,6 +405,71 @@ impl IsolationCache {
     /// Is the cache empty?
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+}
+
+/// The keys one solo pass has claimed and not yet filled. Dropping it —
+/// empty after a finished pass, non-empty only when the pass unwinds —
+/// releases the remaining claims and wakes their waiters.
+struct Claim<'a> {
+    cache: &'a IsolationCache,
+    front: &'a FrontKey,
+    /// Claimed keys, the looked-up key first.
+    pending: Vec<L2Key>,
+}
+
+impl Claim<'_> {
+    /// Run the pass: capture the group's L2-visible stream once (the
+    /// generator and L1s are gone before the first L2 exists), then fill
+    /// every claimed key with its own fresh L2, one at a time, publishing
+    /// each as it finishes. Returns the looked-up key's IPC.
+    fn run(&mut self) -> f64 {
+        self.cache.passes.fetch_add(1, Ordering::Relaxed);
+        let benchmark = &self.front.benchmark;
+        let profile = tracegen::benchmark(benchmark)
+            .unwrap_or_else(|| panic!("unknown benchmark {benchmark}"));
+        let wanted = self.pending[0];
+        let stream = SoloStream::capture(
+            &self.front.solo_cfg(wanted.geometry),
+            &profile,
+            self.front.seed_salt,
+        );
+        let mut result = None;
+        while let Some(&l2) = self.pending.last() {
+            let ipc = stream.ipc(l2.policy, l2.geometry);
+            let mut groups = self.cache.lock();
+            let group = groups.get_mut(self.front).expect("a claimed group stays");
+            group.claimed.remove(&l2);
+            group.planned.remove(&l2);
+            group.filled.insert(l2, ipc);
+            drop(groups);
+            self.pending.pop();
+            self.cache.misses.fetch_add(1, Ordering::Relaxed);
+            self.cache.settled.notify_all();
+            if l2 == wanted {
+                result = Some(ipc);
+            }
+        }
+        result.expect("the looked-up key was claimed")
+    }
+}
+
+impl Drop for Claim<'_> {
+    fn drop(&mut self) {
+        if self.pending.is_empty() {
+            return;
+        }
+        let mut groups = self.cache.lock();
+        if let Some(group) = groups.get_mut(self.front) {
+            for l2 in &self.pending {
+                group.claimed.remove(l2);
+            }
+            if group.is_idle() {
+                groups.remove(self.front);
+            }
+        }
+        drop(groups);
+        self.cache.settled.notify_all();
     }
 }
 

@@ -3,8 +3,8 @@
 use crate::config::MachineConfig;
 use crate::core_model::CoreModel;
 use cachesim::hierarchy::{BatchScratch, Hierarchy, MemLevel};
-use cachesim::{CacheStats, PolicyKind};
-use plru_core::{CpaConfig, CpaController, Scheme};
+use cachesim::CacheStats;
+use plru_core::{CpaController, Scheme};
 use serde::{Deserialize, Serialize};
 use std::path::Path;
 use tracegen::trace::{self, TraceError};
@@ -59,25 +59,6 @@ impl SimResult {
     }
 }
 
-/// Reconcile the legacy `(l2_policy, Option<CpaConfig>)` pair into a
-/// [`Scheme`], enforcing the invariants `Scheme` carries by construction.
-///
-/// # Panics
-/// If the CPA's profiling policy differs from the L2 policy (the paper
-/// never mixes them) or the combination is not registry-valid.
-fn pair_scheme(l2_policy: PolicyKind, cpa: Option<CpaConfig>) -> Scheme {
-    match cpa {
-        Some(c) => {
-            assert_eq!(
-                c.policy, l2_policy,
-                "the paper always pairs the profiling policy with the L2 policy"
-            );
-            Scheme::partitioned(c).expect("CPA configuration must be registry-valid")
-        }
-        None => Scheme::bare(l2_policy),
-    }
-}
-
 /// A runnable CMP system.
 pub struct System {
     cfg: MachineConfig,
@@ -126,18 +107,6 @@ impl System {
             })
             .collect();
         Self::from_sources_scheme(cfg, profiles, sources, scheme, seed_salt)
-    }
-
-    /// Policy-and-CPA-pair variant of [`System::from_profiles_scheme`] —
-    /// the pre-`Scheme` calling convention.
-    pub fn from_profiles(
-        cfg: &MachineConfig,
-        profiles: &[BenchmarkProfile],
-        l2_policy: PolicyKind,
-        cpa: Option<CpaConfig>,
-        seed_salt: u64,
-    ) -> Self {
-        Self::from_profiles_scheme(cfg, profiles, &pair_scheme(l2_policy, cpa), seed_salt)
     }
 
     /// Build a system over explicit per-core [`TraceSource`]s — the
@@ -192,25 +161,6 @@ impl System {
             fetch_buf: Vec::new(),
             scratch: BatchScratch::new(),
         }
-    }
-
-    /// Policy-and-CPA-pair variant of [`System::from_sources_scheme`] —
-    /// the pre-`Scheme` calling convention.
-    pub fn from_sources(
-        cfg: &MachineConfig,
-        profiles: &[BenchmarkProfile],
-        sources: Vec<Box<dyn TraceSource>>,
-        l2_policy: PolicyKind,
-        cpa: Option<CpaConfig>,
-        seed_salt: u64,
-    ) -> Self {
-        Self::from_sources_scheme(
-            cfg,
-            profiles,
-            sources,
-            &pair_scheme(l2_policy, cpa),
-            seed_salt,
-        )
     }
 
     /// Build from a Table II workload under a [`Scheme`].
@@ -286,18 +236,6 @@ impl System {
         Ok(Self::from_sources_scheme(
             cfg, &profiles, sources, scheme, seed_salt,
         ))
-    }
-
-    /// Policy-and-CPA-pair variant of [`System::from_trace_scheme`] — the
-    /// pre-`Scheme` calling convention.
-    pub fn from_trace(
-        cfg: &MachineConfig,
-        path: impl AsRef<Path>,
-        l2_policy: PolicyKind,
-        cpa: Option<CpaConfig>,
-        seed_salt: u64,
-    ) -> Result<Self, TraceError> {
-        Self::from_trace_scheme(cfg, path, &pair_scheme(l2_policy, cpa), seed_salt)
     }
 
     fn penalty(&self, level: MemLevel) -> u64 {
@@ -429,6 +367,8 @@ impl System {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cachesim::PolicyKind;
+    use plru_core::CpaConfig;
     use tracegen::workload;
 
     fn quick_cfg(cores: usize) -> MachineConfig {
@@ -441,7 +381,8 @@ mod tests {
     fn single_core_run_produces_sane_ipc() {
         let cfg = quick_cfg(1);
         let profiles = vec![tracegen::benchmark("gzip").unwrap()];
-        let mut sys = System::from_profiles(&cfg, &profiles, PolicyKind::Lru, None, 1);
+        let mut sys =
+            System::from_profiles_scheme(&cfg, &profiles, &Scheme::bare(PolicyKind::Lru), 1);
         let r = sys.run();
         assert_eq!(r.cores.len(), 1);
         let ipc = r.ipc(0);
@@ -470,7 +411,8 @@ mod tests {
             tracegen::benchmark("mcf").unwrap(),
             tracegen::benchmark("crafty").unwrap(),
         ];
-        let mut sys = System::from_profiles(&cfg, &profiles, PolicyKind::Lru, None, 3);
+        let mut sys =
+            System::from_profiles_scheme(&cfg, &profiles, &Scheme::bare(PolicyKind::Lru), 3);
         let r = sys.run();
         assert!(
             r.ipc(0) < r.ipc(1),
@@ -497,22 +439,6 @@ mod tests {
         );
         assert_eq!(r.final_allocation.iter().sum::<usize>(), 16);
         assert!(r.atd_observed > 0, "ATDs must observe sampled accesses");
-    }
-
-    #[test]
-    #[should_panic]
-    fn mismatched_cpa_policy_panics() {
-        let cfg = quick_cfg(2);
-        let wl = workload("2T_01").unwrap();
-        // NRU profiler on an LRU L2 — the paper never mixes them; the
-        // legacy pair constructors still reject the combination.
-        let _ = System::from_profiles(
-            &cfg,
-            &wl.profiles(),
-            PolicyKind::Lru,
-            Some(CpaConfig::m_nru(0.75)),
-            1,
-        );
     }
 
     #[test]
@@ -562,7 +488,13 @@ mod tests {
                 )) as Box<dyn TraceSource>
             })
             .collect();
-        let mut cap = System::from_sources(&cfg, &profiles, sources, PolicyKind::Lru, None, salt);
+        let mut cap = System::from_sources_scheme(
+            &cfg,
+            &profiles,
+            sources,
+            &Scheme::bare(PolicyKind::Lru),
+            salt,
+        );
         let captured = cap.run();
         drop(cap);
         Arc::try_unwrap(writer)
@@ -573,7 +505,7 @@ mod tests {
             .unwrap();
 
         // Replay from the file.
-        let replayed = System::from_trace(&cfg, &path, PolicyKind::Lru, None, salt)
+        let replayed = System::from_trace_scheme(&cfg, &path, &Scheme::bare(PolicyKind::Lru), salt)
             .unwrap()
             .run();
         let _ = std::fs::remove_file(&path);
@@ -615,7 +547,14 @@ mod tests {
                     )) as Box<dyn TraceSource>
                 })
                 .collect();
-            System::from_sources(&cfg, &profiles, sources, PolicyKind::Lru, None, 0).run();
+            System::from_sources_scheme(
+                &cfg,
+                &profiles,
+                sources,
+                &Scheme::bare(PolicyKind::Lru),
+                0,
+            )
+            .run();
             Arc::try_unwrap(writer)
                 .expect("sole owner")
                 .into_inner()
@@ -624,7 +563,7 @@ mod tests {
                 .unwrap();
         }
         let wide = quick_cfg(4);
-        let err = match System::from_trace(&wide, &path, PolicyKind::Lru, None, 0) {
+        let err = match System::from_trace_scheme(&wide, &path, &Scheme::bare(PolicyKind::Lru), 0) {
             Ok(_) => panic!("2-thread trace must not build a 4-core system"),
             Err(e) => e,
         };
@@ -643,11 +582,13 @@ mod tests {
             tracegen::benchmark("crafty").unwrap(),
             tracegen::benchmark("swim").unwrap(),
         ];
-        let mut free = System::from_profiles(&cfg, &profiles, PolicyKind::Lru, None, 9);
+        let mut free =
+            System::from_profiles_scheme(&cfg, &profiles, &Scheme::bare(PolicyKind::Lru), 9);
         let rf = free.run();
         let mut cpa = CpaConfig::m_l();
         cpa.interval_cycles = 100_000;
-        let mut part = System::from_profiles(&cfg, &profiles, PolicyKind::Lru, Some(cpa), 9);
+        let scheme = Scheme::partitioned(cpa).unwrap();
+        let mut part = System::from_profiles_scheme(&cfg, &profiles, &scheme, 9);
         let rp = part.run();
         let miss_rate = |r: &SimResult| r.cores[0].l2_misses as f64 / r.cores[0].l2_accesses as f64;
         assert!(

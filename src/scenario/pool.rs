@@ -165,7 +165,12 @@ impl WorkerPool {
 
     /// Enqueue one case. Exactly one [`CaseOutcome`] will be posted to
     /// `task.sink` for it, even through cancellation or a case panic.
+    ///
+    /// The case's isolation keys join the memo's plan (see
+    /// [`IsolationCache::plan`]), so the first solo pass of each of its
+    /// benchmarks also fills the keys of cases still queued.
     pub fn submit(&self, task: CaseTask) {
+        plan_isolation(&self.shared.isolation, &task.case);
         self.shared.queue.push(task);
         // Take the lock so the notify cannot race a worker between its
         // empty-queue check and its wait.
@@ -235,6 +240,7 @@ impl WorkerPool {
         // their submission total terminate instead of hanging.
         while let Steal::Success(task) = self.shared.queue.steal() {
             let index = task.case.index;
+            release_isolation_plan(&self.shared.isolation, &task.case);
             let _ = task.sink.send(CaseOutcome::Skipped { index });
         }
     }
@@ -286,9 +292,32 @@ fn run_task(task: CaseTask, shared: &PoolShared) {
             },
         }
     };
+    // A finished case has looked up (and so filled) all its planned
+    // keys; a skipped or failed one withdraws what it never looked up.
+    release_isolation_plan(&shared.isolation, &task.case);
     // A closed sink means the job's collector is gone (client vanished
     // and the job was torn down); nothing is owed to anyone.
     let _ = task.sink.send(outcome);
+}
+
+/// Register the isolation lookups [`run_case`] will make for `case`.
+fn plan_isolation(isolation: &IsolationCache, case: &ScenarioCase) {
+    isolation.plan(
+        &case.machine(),
+        &case.benchmarks,
+        case.scheme.policy(),
+        case.seed_salt,
+    );
+}
+
+/// Withdraw what [`plan_isolation`] registered for `case`.
+fn release_isolation_plan(isolation: &IsolationCache, case: &ScenarioCase) {
+    isolation.release_plan(
+        &case.machine(),
+        &case.benchmarks,
+        case.scheme.policy(),
+        case.seed_salt,
+    );
 }
 
 fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
@@ -448,6 +477,7 @@ mod tests {
             }
         }
         assert_eq!(skipped, cases.len());
+        assert_eq!(pool.isolation_cache().planned(), 0, "skips withdraw plans");
         pool.shutdown();
     }
 
@@ -467,9 +497,42 @@ mod tests {
             });
         }
         drop(tx);
+        let memo = pool.isolation_cache().clone();
         pool.shutdown();
         let outcomes: Vec<CaseOutcome> = rx.into_iter().collect();
         assert_eq!(outcomes.len(), cases.len(), "one ack per submitted task");
+        assert_eq!(memo.planned(), 0, "drained tasks withdraw plans");
+    }
+
+    #[test]
+    fn planned_sweep_simulates_each_isolation_key_once() {
+        let pool = WorkerPool::new(2, Arc::default(), false);
+        let cases = ScenarioSpec {
+            name: "pool-plan".into(),
+            insts: Some(8_000),
+            workloads: vec![WorkloadSel::Profiles(vec!["gzip".into(), "mcf".into()])],
+            schemes: vec!["L".into(), "N".into(), "M-L".into()].into(),
+            l2_sizes: Some(vec![512 * 1024, 2 * 1024 * 1024]),
+            ..Default::default()
+        }
+        .expand()
+        .unwrap();
+        let reports = pool.run_ordered(&cases);
+        let memo = pool.isolation_cache();
+        // 2 benchmarks x {LRU, NRU} x 2 sizes; M-L looks up the LRU keys.
+        let stats = memo.stats();
+        assert_eq!((stats.misses, stats.entries), (8, 8));
+        assert!(memo.solo_passes() < 8, "planned keys ride along in passes");
+        assert_eq!(memo.planned(), 0, "finished tasks leave no plan behind");
+        let fresh = Arc::new(IsolationCache::new());
+        for r in &reports {
+            let solo = r
+                .case
+                .engine(fresh.clone())
+                .isolation_ipcs(&r.case.benchmarks);
+            assert_eq!(r.isolation_ipcs, solo, "case {}", r.case.index);
+        }
+        pool.shutdown();
     }
 
     #[test]

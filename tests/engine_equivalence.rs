@@ -2,8 +2,7 @@
 //! bit-identical to the hand-wired `System::from_workload_scheme`
 //! pipeline it replaced, and the fleet runner keeps results in input
 //! order. This file holds the sanctioned direct `System` call sites
-//! outside `cmpsim` itself — including one deliberately exercising the
-//! deprecated pre-`Scheme` signature to pin the shim's equivalence.
+//! outside `cmpsim` itself.
 
 use plru_repro::prelude::*;
 
@@ -85,25 +84,4 @@ fn engine_fleet_matches_sequential_runs() {
         assert_eq!(f.ipcs(), s.ipcs(), "{}", wl.name);
         assert_eq!(f.total_cycles, s.total_cycles, "{}", wl.name);
     }
-}
-
-/// The surviving pre-`Scheme` pair constructors must keep producing
-/// bit-identical simulations to the `Scheme` path. (`System::from_workload`
-/// and the engine builder's `.policy()`/`.cpa()` shims are gone —
-/// `.scheme()` / `from_workload_scheme` are the only knobs.)
-#[test]
-fn pair_signatures_match_the_scheme_path() {
-    let mut cfg = MachineConfig::paper_baseline(2);
-    cfg.insts_target = 40_000;
-    let wl = workload("2T_05").unwrap();
-    let cpa = CpaConfig::m_nru(0.75);
-
-    let pair = System::from_profiles(&cfg, &wl.profiles(), cpa.policy, Some(cpa.clone()), 1).run();
-    let scheme = Scheme::partitioned(cpa).unwrap();
-    let current = System::from_workload_scheme(&cfg, &wl, &scheme, 1).run();
-    assert_eq!(pair.ipcs(), current.ipcs());
-    assert_eq!(pair.total_cycles, current.total_cycles);
-
-    let engine = SimEngine::builder().machine(cfg).scheme(scheme).build();
-    assert_eq!(engine.scheme().to_string(), "M-0.75N");
 }
