@@ -1,30 +1,22 @@
 //! Trace decode throughput: records per second drained out of a PLTC
 //! container through the `RecordedThread` sources — the path a recorded
 //! sweep actually pays for. Compares the v1 raw container against the
-//! v2 dict-compressed one, and the v2 pipeline at several decode-worker
-//! counts, so both a codec regression and a pipeline regression show up
-//! as their own gated criterion id.
+//! v2 dict-compressed one, both decoded inline, so a codec regression
+//! shows up as its own gated criterion id.
 //!
-//! Ids (`trace_decode/v1`, `trace_decode/v2-w0`, `trace_decode/v2-w2`,
-//! `trace_decode/v2-w4`) record mean ns per full drain of a fixed
-//! ~62k-record two-thread trace; each run prints the record total so
-//! logs can convert the mean into records/sec directly.
+//! Ids (`trace_decode/v1`, `trace_decode/v2-w0`) record mean ns per full
+//! drain of a fixed ~62k-record two-thread trace; each run prints the
+//! record total so logs can convert the mean into records/sec directly.
 //!
 //! The write side gets report-only ids in the same units:
 //! `trace_encode/v1` and `trace_encode/v2` time one `TraceWriter` pass
 //! that encodes the same records (pre-generated, so synthesis is not
 //! timed) into an in-memory container, raw and dict-compressed.
-//!
-//! Note the drain does no work between records, so the worker>0 ids
-//! measure the pipeline's synchronization overhead at maximum pull rate
-//! — its worst case. In a real replay the simulator burns cycles per
-//! record and the workers decode ahead; what matters here is that the
-//! overhead stays bounded, which the gate enforces.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use std::io::{Cursor, Seek, Write};
 use std::path::PathBuf;
-use tracegen::trace::{self, Compression, DecodeOptions};
+use tracegen::trace::{self, Compression};
 use tracegen::{workload, MemRecord, TraceGenerator};
 
 const RECORDS_PER_THREAD: u64 = 31_000;
@@ -69,8 +61,8 @@ fn encode<W: Write + Seek>(
     (w.finish().unwrap(), total)
 }
 
-fn drain(path: &PathBuf, decode: &DecodeOptions, total: u64) {
-    let (_info, mut sources) = trace::open_sources_with(path, decode).unwrap();
+fn drain(path: &PathBuf, total: u64) {
+    let (_info, mut sources) = trace::open_sources(path).unwrap();
     let mut drained = 0u64;
     for src in &mut sources {
         let per_thread = RECORDS_PER_THREAD;
@@ -95,14 +87,9 @@ fn bench_trace_decode(c: &mut Criterion) {
     group.sample_size(10);
     eprintln!("trace_decode: {total} records per drain");
 
-    group.bench_function("v1", |b| {
-        b.iter(|| drain(&v1, &DecodeOptions::workers(0), total))
-    });
-    for workers in [0usize, 2, 4] {
-        group.bench_function(format!("v2-w{workers}"), |b| {
-            b.iter(|| drain(&v2, &DecodeOptions::workers(workers), total))
-        });
-    }
+    group.bench_function("v1", |b| b.iter(|| drain(&v1, total)));
+    // "-w0" is the id BENCH_3.json gates; the name outlived the worker knob.
+    group.bench_function("v2-w0", |b| b.iter(|| drain(&v2, total)));
     group.finish();
 
     let _ = std::fs::remove_file(&v1);

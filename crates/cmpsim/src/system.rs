@@ -183,35 +183,17 @@ impl System {
     /// replay's instruction target does not exceed the recorded one
     /// ([`tracegen::trace::TraceMeta::insts`]) — an exhausted stream
     /// panics mid-run.
+    ///
+    /// Each core's source decodes its chunks inline as the run pulls
+    /// records ([`trace::open_sources`]).
     pub fn from_trace_scheme(
         cfg: &MachineConfig,
         path: impl AsRef<Path>,
         scheme: &Scheme,
         seed_salt: u64,
     ) -> Result<Self, TraceError> {
-        Self::from_trace_scheme_with(
-            cfg,
-            path,
-            scheme,
-            seed_salt,
-            &trace::DecodeOptions::default(),
-        )
-    }
-
-    /// [`System::from_trace_scheme`] with explicit
-    /// [`DecodeOptions`](tracegen::trace::DecodeOptions): a non-zero
-    /// worker count decodes trace chunks ahead of consumption on a
-    /// shared pool. The replayed streams are identical at any worker
-    /// count — the knob only changes where the decode work runs.
-    pub fn from_trace_scheme_with(
-        cfg: &MachineConfig,
-        path: impl AsRef<Path>,
-        scheme: &Scheme,
-        seed_salt: u64,
-        decode: &trace::DecodeOptions,
-    ) -> Result<Self, TraceError> {
         let path = path.as_ref();
-        let (info, sources) = trace::open_sources_with(path, decode)?;
+        let (info, sources) = trace::open_sources(path)?;
         if info.meta.threads() != cfg.num_cores {
             return Err(TraceError::Format(format!(
                 "trace {} records {} threads, but the machine has {} cores",

@@ -53,13 +53,10 @@
 //! for generator-streamed ones (see its docs for the exhaustion
 //! semantics).
 //!
-//! Because chunks are length-prefixed and self-contained, decoding can
-//! run ahead of consumption: [`open_sources_with`] a non-zero
-//! [`DecodeOptions::workers`] shares one [`DecodePool`] across every
-//! [`RecordedThread`], and each thread's reader keeps a small window of
-//! chunks in flight while the simulator drains records. Chunk results
-//! are reassembled strictly in submission order, so replay stays
-//! bit-identical to the sequential path at any worker count.
+//! Replay decodes inline: each [`RecordedThread`] reads and decodes its
+//! own thread's chunks on the consuming thread, in file order, so this
+//! module spawns no threads and the replayed stream is exactly the one
+//! the writer saw.
 //!
 //! Every length field a reader trusts is capped first: metadata at
 //! [`MAX_META_BYTES`] (mirroring the service protocol's frame cap) and
@@ -71,13 +68,11 @@ use crate::io::{read_varint, unzigzag, write_varint, zigzag};
 use crate::record::MemRecord;
 use crate::TraceGenerator;
 use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
 use std::fmt;
 use std::fs::File;
 use std::io::{self, BufReader, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
-use std::thread::JoinHandle;
+use std::sync::{Arc, Mutex};
 
 /// Container magic (distinct from the flat single-stream format in
 /// [`crate::io`]).
@@ -787,310 +782,11 @@ pub fn scan_stats(path: impl AsRef<Path>) -> Result<(TraceInfo, TraceStats), Tra
     Ok((info, stats))
 }
 
-// ---------------------------------------------------------------------
-// Parallel chunk decode.
-// ---------------------------------------------------------------------
-
-/// How recorded-trace chunks are decoded during replay.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DecodeOptions {
-    /// Decode worker threads shared by all threads of one container;
-    /// 0 decodes inline on the consuming thread (the sequential path).
-    pub workers: usize,
-}
-
-impl DecodeOptions {
-    /// Decode with `n` shared worker threads (0 = sequential).
-    pub fn workers(n: usize) -> Self {
-        DecodeOptions { workers: n }
-    }
-}
-
-/// One chunk handed to the pool: everything needed to decode it without
-/// touching the file, plus the channel its records go back on.
-#[derive(Debug)]
-struct DecodeTask {
-    records: u32,
-    codec: u8,
-    raw_len: u32,
-    payload: Vec<u8>,
-    reply: mpsc::Sender<Result<Vec<MemRecord>, String>>,
-}
-
-#[derive(Debug)]
-struct PoolState {
-    queue: VecDeque<DecodeTask>,
-    shutdown: bool,
-}
-
-#[derive(Debug)]
-struct PoolShared {
-    state: Mutex<PoolState>,
-    available: Condvar,
-}
-
-/// A small shared pool of chunk-decode workers — the replay counterpart
-/// of the scenario sweep's `WorkerPool` (same queue + condvar shape;
-/// that pool lives above this crate and is typed to scenario cases, so
-/// the design is mirrored rather than reused).
-///
-/// One pool serves every [`RecordedThread`] of a container: each reader
-/// submits chunk payloads in stream order and reassembles results in
-/// that same order, so replay output is independent of worker count and
-/// scheduling. Dropping the pool (when the last reader holding its
-/// `Arc` goes away) shuts the workers down and joins them.
-#[derive(Debug)]
-pub struct DecodePool {
-    shared: Arc<PoolShared>,
-    handles: Vec<JoinHandle<()>>,
-}
-
-impl DecodePool {
-    /// Spawn a pool of `workers.max(1)` decode threads.
-    pub fn new(workers: usize) -> Self {
-        let shared = Arc::new(PoolShared {
-            state: Mutex::new(PoolState {
-                queue: VecDeque::new(),
-                shutdown: false,
-            }),
-            available: Condvar::new(),
-        });
-        let handles = (0..workers.max(1))
-            .map(|i| {
-                let shared = shared.clone();
-                std::thread::Builder::new()
-                    .name(format!("pltc-decode-{i}"))
-                    .spawn(move || worker_loop(&shared))
-                    // repolint: allow(panic) — spawn fails only on OS resource exhaustion, never on trace input
-                    .expect("spawn trace decode worker")
-            })
-            .collect();
-        DecodePool { shared, handles }
-    }
-
-    /// Worker threads in the pool.
-    pub fn worker_count(&self) -> usize {
-        self.handles.len()
-    }
-
-    fn submit(&self, task: DecodeTask) {
-        // repolint: allow(panic) — poisoning means a worker already panicked; propagating is the only honest move
-        let mut st = self.shared.state.lock().expect("decode pool poisoned");
-        st.queue.push_back(task);
-        drop(st);
-        self.shared.available.notify_one();
-    }
-}
-
-impl Drop for DecodePool {
-    fn drop(&mut self) {
-        self.shared
-            .state
-            .lock()
-            // repolint: allow(panic) — poisoning means a worker already panicked; propagating is the only honest move
-            .expect("decode pool poisoned")
-            .shutdown = true;
-        self.shared.available.notify_all();
-        for h in self.handles.drain(..) {
-            let _ = h.join();
-        }
-    }
-}
-
-fn worker_loop(shared: &PoolShared) {
-    let mut raw = Vec::new();
-    loop {
-        let task = {
-            // repolint: allow(panic) — poisoning means a worker already panicked; propagating is the only honest move
-            let mut st = shared.state.lock().expect("decode pool poisoned");
-            loop {
-                if let Some(t) = st.queue.pop_front() {
-                    break t;
-                }
-                if st.shutdown {
-                    return;
-                }
-                // repolint: allow(panic) — poisoning means a worker already panicked; propagating is the only honest move
-                st = shared.available.wait(st).expect("decode pool poisoned");
-            }
-        };
-        let h = ChunkHeader {
-            thread: 0, // not needed for decoding
-            records: task.records,
-            codec: task.codec,
-            raw_len: task.raw_len,
-            payload_len: task.payload.len() as u32,
-        };
-        // repolint: allow(cap-alloc) — read_chunk_header capped records at CHUNK_RECORDS before the task was queued
-        let mut out = Vec::with_capacity(task.records as usize);
-        let result = decode_payload(&h, &task.payload, &mut raw, &mut out)
-            .map(|()| out)
-            .map_err(|e| e.to_string());
-        // A dropped receiver just means the reader went away first.
-        let _ = task.reply.send(result);
-    }
-}
-
-/// The pipelined counterpart of [`TraceReader`]: reads one thread's
-/// chunk payloads off the file and keeps a small window of them
-/// decoding in a shared [`DecodePool`] while records are consumed.
-///
-/// Results come back over per-chunk channels held in submission order,
-/// so reassembly is a FIFO pop — byte-for-byte the sequential stream
-/// regardless of worker count. Other threads' payloads are skipped with
-/// a relative seek instead of being read.
-#[derive(Debug)]
-struct PipelinedReader {
-    file: BufReader<File>,
-    /// File offset of the first chunk (cyclic rewind target).
-    data_pos: u64,
-    info: TraceInfo,
-    thread: usize,
-    pool: Arc<DecodePool>,
-    /// Max chunks in flight (pool workers + 2).
-    window: usize,
-    pending: VecDeque<mpsc::Receiver<Result<Vec<MemRecord>, String>>>,
-    current: Vec<MemRecord>,
-    pos: usize,
-    delivered: u64,
-    submitted: u64,
-    /// Strict mode: the file's chunk stream is exhausted.
-    eof: bool,
-    /// Cyclic mode: a chunk of this thread was seen since the last
-    /// rewind (guards against spinning on a corrupt chunkless file).
-    found_this_pass: bool,
-}
-
-impl PipelinedReader {
-    fn new(path: &Path, thread: usize, pool: Arc<DecodePool>) -> Result<Self, TraceError> {
-        let mut file = BufReader::new(File::open(path)?);
-        let info = read_info(&mut file)?;
-        if thread >= info.meta.threads() {
-            return Err(TraceError::format(format!(
-                "thread {thread} out of range (trace has {})",
-                info.meta.threads()
-            )));
-        }
-        let data_pos = file.stream_position()?;
-        let window = pool.worker_count() + 2;
-        Ok(PipelinedReader {
-            file,
-            data_pos,
-            info,
-            thread,
-            pool,
-            window,
-            pending: VecDeque::new(),
-            current: Vec::new(),
-            pos: 0,
-            delivered: 0,
-            submitted: 0,
-            eof: false,
-            found_this_pass: false,
-        })
-    }
-
-    fn cyclic(&self) -> bool {
-        self.info.meta.insts == 0
-    }
-
-    /// Rewinds a cyclic replay has completed, inferred from delivery
-    /// (the file cursor runs ahead of consumption here).
-    fn wraps(&self) -> u64 {
-        if self.delivered == 0 {
-            0
-        } else {
-            // repolint: allow(panic) — PipelinedReader::new rejects thread >= meta.threads() = records.len()
-            (self.delivered - 1) / self.info.records[self.thread]
-        }
-    }
-
-    /// Top the in-flight window up with this thread's next chunks.
-    fn top_up(&mut self) -> Result<(), TraceError> {
-        // repolint: allow(panic) — same construction-time bound as in wraps()
-        let total = self.info.records[self.thread];
-        while self.pending.len() < self.window && !self.eof {
-            if !self.cyclic() && self.submitted >= total {
-                break;
-            }
-            match read_chunk_header(&mut self.file, self.info.version, self.info.meta.threads())? {
-                Some(h) => {
-                    if h.thread != self.thread {
-                        self.file.seek_relative(i64::from(h.payload_len))?;
-                        continue;
-                    }
-                    // repolint: allow(cap-alloc) — read_chunk_header capped payload_len at MAX_CHUNK_PAYLOAD
-                    let mut payload = vec![0u8; h.payload_len as usize];
-                    self.file
-                        .read_exact(&mut payload)
-                        .map_err(|_| TraceError::format("truncated chunk payload"))?;
-                    let (tx, rx) = mpsc::channel();
-                    self.pool.submit(DecodeTask {
-                        records: h.records,
-                        codec: h.codec,
-                        raw_len: h.raw_len,
-                        payload,
-                        reply: tx,
-                    });
-                    self.pending.push_back(rx);
-                    self.submitted += u64::from(h.records);
-                    self.found_this_pass = true;
-                }
-                None if self.cyclic() => {
-                    if !self.found_this_pass {
-                        return Err(TraceError::format(format!(
-                            "thread {} has no chunks to cycle through",
-                            self.thread
-                        )));
-                    }
-                    self.found_this_pass = false;
-                    self.file.seek(SeekFrom::Start(self.data_pos))?;
-                }
-                None => self.eof = true,
-            }
-        }
-        Ok(())
-    }
-
-    /// Same contract as [`TraceReader::try_next`]; cyclic streams never
-    /// return `Ok(None)` (the rewind happens on the file side).
-    fn try_next(&mut self) -> Result<Option<MemRecord>, TraceError> {
-        // repolint: allow(panic) — same construction-time bound as in wraps()
-        let total = self.info.records[self.thread];
-        if !self.cyclic() && self.delivered >= total {
-            return Ok(None);
-        }
-        while self.pos >= self.current.len() {
-            self.top_up()?;
-            let rx = match self.pending.pop_front() {
-                Some(rx) => rx,
-                None => {
-                    return Err(TraceError::format(format!(
-                        "trace ends early: thread {} delivered {} of {} records",
-                        self.thread, self.delivered, total
-                    )))
-                }
-            };
-            self.current = rx
-                .recv()
-                .map_err(|_| TraceError::format("trace decode worker disconnected"))?
-                .map_err(TraceError::Format)?;
-            self.pos = 0;
-            // Refill the window so workers stay busy while we drain.
-            self.top_up()?;
-        }
-        // repolint: allow(panic) — the while loop above refills until pos < current.len()
-        let rec = self.current[self.pos];
-        self.pos += 1;
-        self.delivered += 1;
-        Ok(Some(rec))
-    }
-}
-
 /// A file-backed [`TraceSource`] replaying one recorded thread.
 ///
 /// Opens its own handle on the container (threads replay concurrently
-/// without sharing reader state).
+/// without sharing reader state) and decodes chunks inline, on the
+/// consuming thread, as records are pulled.
 ///
 /// **Exhaustion semantics** follow what the header claims:
 ///
@@ -1109,67 +805,23 @@ impl PipelinedReader {
 /// front to turn it into a readable error instead.
 #[derive(Debug)]
 pub struct RecordedThread {
-    reader: ReaderImpl,
+    reader: TraceReader<BufReader<File>>,
     path: PathBuf,
     thread: usize,
-    /// Rewind count of the sequential reader (the pipelined reader
-    /// tracks its own).
-    seq_wraps: u64,
-}
-
-/// The two decode paths behind a [`RecordedThread`]: decode chunks
-/// inline as records are pulled, or ahead of time via a shared pool.
-#[derive(Debug)]
-enum ReaderImpl {
-    Sequential(TraceReader<BufReader<File>>),
-    Pipelined(PipelinedReader),
-}
-
-impl ReaderImpl {
-    fn info(&self) -> &TraceInfo {
-        match self {
-            ReaderImpl::Sequential(r) => r.info(),
-            ReaderImpl::Pipelined(p) => &p.info,
-        }
-    }
-
-    fn delivered(&self) -> u64 {
-        match self {
-            ReaderImpl::Sequential(r) => r.delivered(),
-            ReaderImpl::Pipelined(p) => p.delivered,
-        }
-    }
+    wraps: u64,
 }
 
 impl RecordedThread {
-    /// Open `thread`'s stream of the container at `path`, decoding
-    /// chunks inline (sequentially) as records are pulled.
+    /// Open `thread`'s stream of the container at `path`.
     ///
     /// Errors if the thread has zero records: a cyclic replay would have
     /// nothing to cycle through (and would otherwise rewind forever), a
     /// strict one nothing to deliver.
     pub fn open(path: impl AsRef<Path>, thread: usize) -> Result<Self, TraceError> {
-        Self::open_with(path, thread, None)
-    }
-
-    /// [`RecordedThread::open`] with an optional shared [`DecodePool`];
-    /// with a pool, chunk decoding runs ahead of consumption on the
-    /// pool's workers (the record stream is identical either way).
-    pub fn open_with(
-        path: impl AsRef<Path>,
-        thread: usize,
-        pool: Option<Arc<DecodePool>>,
-    ) -> Result<Self, TraceError> {
         let path = path.as_ref().to_path_buf();
-        let reader = match pool {
-            Some(pool) => ReaderImpl::Pipelined(PipelinedReader::new(&path, thread, pool)?),
-            None => ReaderImpl::Sequential(TraceReader::new(
-                BufReader::new(File::open(&path)?),
-                thread,
-            )?),
-        };
+        let reader = TraceReader::new(BufReader::new(File::open(&path)?), thread)?;
         let info = reader.info();
-        // repolint: allow(panic) — the reader constructor above rejects thread >= meta.threads() = records.len()
+        // repolint: allow(panic) — TraceReader::new rejects thread >= meta.threads() = records.len()
         if info.records[thread] == 0 {
             let cyclic = info.meta.insts == 0;
             return Err(TraceError::format(format!(
@@ -1181,7 +833,7 @@ impl RecordedThread {
             reader,
             path,
             thread,
-            seq_wraps: 0,
+            wraps: 0,
         })
     }
 
@@ -1193,10 +845,7 @@ impl RecordedThread {
     /// How many times a cyclic (generator-streamed) replay has wrapped
     /// back to the start of its stream.
     pub fn wraps(&self) -> u64 {
-        match &self.reader {
-            ReaderImpl::Sequential(_) => self.seq_wraps,
-            ReaderImpl::Pipelined(p) => p.wraps(),
-        }
+        self.wraps
     }
 }
 
@@ -1204,17 +853,11 @@ impl TraceSource for RecordedThread {
     fn next_record(&mut self) -> MemRecord {
         loop {
             let cyclic = self.reader.info().meta.insts == 0;
-            let step = match &mut self.reader {
-                ReaderImpl::Sequential(r) => r.try_next(),
-                ReaderImpl::Pipelined(p) => p.try_next(),
-            };
-            match step {
+            match self.reader.try_next() {
                 Ok(Some(rec)) => return rec,
                 Ok(None) if cyclic => {
-                    // Sequential cyclic replay: reopen at the start of
-                    // the stream (the pipelined reader rewinds its file
-                    // cursor internally and never reports a lap end).
-                    self.seq_wraps += 1;
+                    // Cyclic replay: reopen at the start of the stream.
+                    self.wraps += 1;
                     // TraceSource::next_record has no error channel: the file was
                     // fully validated by validate_path before replay began, so a
                     // failure here is the environment changing underneath us
@@ -1226,16 +869,15 @@ impl TraceSource for RecordedThread {
                             self.path.display()
                         )
                     });
-                    self.reader = ReaderImpl::Sequential(
-                        TraceReader::new(BufReader::new(file), self.thread).unwrap_or_else(|e| {
+                    self.reader = TraceReader::new(BufReader::new(file), self.thread)
+                        .unwrap_or_else(|e| {
                             // repolint: allow(panic) — post-validation environment failure; no Result channel in TraceSource
                             panic!(
                                 "recorded trace {} failed on rewind for thread {}: {e}",
                                 self.path.display(),
                                 self.thread
                             )
-                        }),
-                    );
+                        });
                 }
                 // repolint: allow(panic) — exhaustion is pre-checked against the engine's instruction target; no Result channel in TraceSource
                 Ok(None) => panic!(
@@ -1257,29 +899,17 @@ impl TraceSource for RecordedThread {
 }
 
 /// Open one [`RecordedThread`] per recorded thread, plus the shared
-/// header — the bundle [`System::from_trace`](../../cmpsim/struct.System.html)
-/// plugs into the simulator. Decodes sequentially; see
-/// [`open_sources_with`] for the pipelined path.
+/// header — the bundle [`System::from_trace_scheme`](../../cmpsim/struct.System.html)
+/// plugs into the simulator. Every source decodes its chunks inline.
 pub fn open_sources(
     path: impl AsRef<Path>,
 ) -> Result<(TraceInfo, Vec<Box<dyn TraceSource>>), TraceError> {
-    open_sources_with(path, &DecodeOptions::default())
-}
-
-/// [`open_sources`] with explicit [`DecodeOptions`]: a non-zero worker
-/// count spawns one [`DecodePool`] shared by all the returned sources
-/// (it shuts down when the last source is dropped).
-pub fn open_sources_with(
-    path: impl AsRef<Path>,
-    opts: &DecodeOptions,
-) -> Result<(TraceInfo, Vec<Box<dyn TraceSource>>), TraceError> {
     let path = path.as_ref();
     let info = load_info(path)?;
-    let pool = (opts.workers > 0).then(|| Arc::new(DecodePool::new(opts.workers)));
     // repolint: allow(cap-alloc) — read_info already rejected threads > MAX_TRACE_THREADS
     let mut sources: Vec<Box<dyn TraceSource>> = Vec::with_capacity(info.meta.threads());
     for t in 0..info.meta.threads() {
-        sources.push(Box::new(RecordedThread::open_with(path, t, pool.clone())?));
+        sources.push(Box::new(RecordedThread::open(path, t)?));
     }
     Ok((info, sources))
 }
@@ -1431,11 +1061,14 @@ mod tests {
 
     #[test]
     fn truncation_is_detected() {
-        let bytes = write_two_threads(&sample(1, 6000), &sample(2, 6000));
-        let cut = &bytes[..bytes.len() - 20];
-        let mut r = TraceReader::new(Cursor::new(cut), 1).unwrap();
-        let res = std::iter::from_fn(|| r.try_next().transpose()).collect::<Result<Vec<_>, _>>();
-        assert!(res.is_err(), "truncated stream must error");
+        for compression in [Compression::None, Compression::Dict] {
+            let bytes = write_two_threads_with(&sample(1, 6000), &sample(2, 6000), compression);
+            let cut = &bytes[..bytes.len() - 20];
+            let mut r = TraceReader::new(Cursor::new(cut), 1).unwrap();
+            let res =
+                std::iter::from_fn(|| r.try_next().transpose()).collect::<Result<Vec<_>, _>>();
+            assert!(res.is_err(), "truncated {compression:?} stream must error");
+        }
     }
 
     #[test]
@@ -1505,21 +1138,27 @@ mod tests {
             scheme: None,
             ..meta(&["twolf"])
         };
-        let mut w = TraceWriter::create(Cursor::new(Vec::new()), &m).unwrap();
-        for r in &records {
-            w.push(0, *r).unwrap();
-        }
-        let bytes = w.finish().unwrap().into_inner();
-        let path = std::env::temp_dir().join("plru_trace_cyclic_test.pltc");
-        std::fs::write(&path, &bytes).unwrap();
+        for compression in [Compression::None, Compression::Dict] {
+            let mut w = TraceWriter::create_with(Cursor::new(Vec::new()), &m, compression).unwrap();
+            for r in &records {
+                w.push(0, *r).unwrap();
+            }
+            let bytes = w.finish().unwrap().into_inner();
+            let path =
+                std::env::temp_dir().join(format!("plru_trace_cyclic_test_{compression:?}.pltc"));
+            std::fs::write(&path, &bytes).unwrap();
 
-        let mut src = RecordedThread::open(&path, 0).unwrap();
-        let first: Vec<MemRecord> = (0..n).map(|_| src.next_record()).collect();
-        let second: Vec<MemRecord> = (0..n).map(|_| src.next_record()).collect();
-        let _ = std::fs::remove_file(&path);
-        assert_eq!(first, records);
-        assert_eq!(second, records, "second lap replays the same stream");
-        assert_eq!(src.wraps(), 1);
+            let mut src = RecordedThread::open(&path, 0).unwrap();
+            let first: Vec<MemRecord> = (0..n).map(|_| src.next_record()).collect();
+            let second: Vec<MemRecord> = (0..n).map(|_| src.next_record()).collect();
+            let _ = std::fs::remove_file(&path);
+            assert_eq!(first, records, "{compression:?}");
+            assert_eq!(
+                second, records,
+                "{compression:?} second lap replays the same stream"
+            );
+            assert_eq!(src.wraps(), 1, "{compression:?}");
+        }
     }
 
     #[test]
@@ -1646,74 +1285,6 @@ mod tests {
         let err = RecordedThread::open(&path, 1).unwrap_err();
         let _ = std::fs::remove_file(&path);
         assert!(err.to_string().contains("no records"), "{err}");
-    }
-
-    #[test]
-    fn pipelined_replay_matches_sequential() {
-        let a = sample(7, CHUNK_RECORDS * 3 + 100);
-        let b = sample(8, CHUNK_RECORDS + 50);
-        for compression in [Compression::None, Compression::Dict] {
-            let bytes = write_two_threads_with(&a, &b, compression);
-            let path =
-                std::env::temp_dir().join(format!("plru_trace_pipelined_{compression:?}.pltc"));
-            std::fs::write(&path, &bytes).unwrap();
-            for workers in [1, 4] {
-                let pool = Arc::new(DecodePool::new(workers));
-                for (t, expect) in [(0, &a), (1, &b)] {
-                    let mut src = RecordedThread::open_with(&path, t, Some(pool.clone())).unwrap();
-                    let got: Vec<MemRecord> =
-                        (0..expect.len()).map(|_| src.next_record()).collect();
-                    assert_eq!(
-                        &got, expect,
-                        "{compression:?} thread {t} with {workers} workers"
-                    );
-                }
-            }
-            let _ = std::fs::remove_file(&path);
-        }
-    }
-
-    #[test]
-    fn pipelined_cyclic_replay_wraps_like_sequential() {
-        let n = 700usize;
-        let records = sample(13, n);
-        let m = TraceMeta {
-            insts: 0,
-            scheme: None,
-            ..meta(&["twolf"])
-        };
-        let mut w =
-            TraceWriter::create_with(Cursor::new(Vec::new()), &m, Compression::Dict).unwrap();
-        for r in &records {
-            w.push(0, *r).unwrap();
-        }
-        let bytes = w.finish().unwrap().into_inner();
-        let path = std::env::temp_dir().join("plru_trace_pipelined_cyclic.pltc");
-        std::fs::write(&path, &bytes).unwrap();
-
-        let pool = Arc::new(DecodePool::new(2));
-        let mut src = RecordedThread::open_with(&path, 0, Some(pool)).unwrap();
-        let first: Vec<MemRecord> = (0..n).map(|_| src.next_record()).collect();
-        let second: Vec<MemRecord> = (0..n).map(|_| src.next_record()).collect();
-        let wraps = src.wraps();
-        drop(src);
-        let _ = std::fs::remove_file(&path);
-        assert_eq!(first, records);
-        assert_eq!(second, records, "second lap replays the same stream");
-        assert_eq!(wraps, 1);
-    }
-
-    #[test]
-    fn pipelined_truncation_is_detected() {
-        let bytes = write_two_threads_with(&sample(1, 6000), &sample(2, 6000), Compression::Dict);
-        let path = std::env::temp_dir().join("plru_trace_pipelined_trunc.pltc");
-        std::fs::write(&path, &bytes[..bytes.len() - 20]).unwrap();
-        let pool = Arc::new(DecodePool::new(2));
-        let mut p = PipelinedReader::new(&path, 1, pool).unwrap();
-        let res = std::iter::from_fn(|| p.try_next().transpose()).collect::<Result<Vec<_>, _>>();
-        drop(p);
-        let _ = std::fs::remove_file(&path);
-        assert!(res.is_err(), "truncated stream must error");
     }
 
     #[test]

@@ -38,12 +38,11 @@ fn usage() -> ! {
          \u{20}   (replays identically; v1 stays the default format).\n\
          \n\
          trace replay FILE [--insts N] [--seed N] [--salt N] [--scheme S]\n\
-         \u{20}            [--json PATH] [--decode-workers N]\n\
-         \u{20}   validate FILE and run it through the engine. Defaults to\n\
-         \u{20}   the recorded insts/seed/salt/scheme, so a bare replay\n\
-         \u{20}   reproduces the capture run bit for bit. --decode-workers\n\
-         \u{20}   (default 2, 0 = inline) decodes chunks ahead of the\n\
-         \u{20}   simulation; the result is identical at any count.\n\
+         \u{20}            [--json PATH]\n\
+         \u{20}   validate FILE and run it through the engine, decoding\n\
+         \u{20}   chunks inline. Defaults to the recorded\n\
+         \u{20}   insts/seed/salt/scheme, so a bare replay reproduces the\n\
+         \u{20}   capture run bit for bit.\n\
          \n\
          trace info FILE [--json]\n\
          \u{20}   print the container header (format version, workload\n\
@@ -123,14 +122,7 @@ impl Parsed {
 /// Build the engine a subcommand's scheme/machine flags describe. The
 /// scheme string goes through the registry's one canonical grammar
 /// (`plru_core::Scheme`); parse failures are readable one-line errors.
-fn engine_for(
-    scheme_str: &str,
-    cores: usize,
-    insts: u64,
-    seed: u64,
-    salt: u64,
-    decode_workers: usize,
-) -> SimEngine {
+fn engine_for(scheme_str: &str, cores: usize, insts: u64, seed: u64, salt: u64) -> SimEngine {
     let scheme: Scheme = scheme_str.parse().unwrap_or_else(|e| fail(e));
     let mut cfg = MachineConfig::paper_baseline(cores);
     cfg.insts_target = insts;
@@ -139,7 +131,6 @@ fn engine_for(
         .machine(cfg)
         .seed_salt(salt)
         .scheme(scheme)
-        .decode_workers(decode_workers)
         .build()
 }
 
@@ -236,7 +227,6 @@ fn cmd_record(args: &[String]) {
         insts,
         seed,
         salt,
-        0,
     );
     let result = engine
         .record_trace_with(&wl, out, compression)
@@ -254,7 +244,7 @@ fn cmd_record(args: &[String]) {
 
 fn cmd_replay(args: &[String]) {
     let p = parse(args, &[]);
-    p.reject_unknown(&["insts", "seed", "salt", "scheme", "json", "decode-workers"]);
+    p.reject_unknown(&["insts", "seed", "salt", "scheme", "json"]);
     let path = match p.positional.as_slice() {
         [one] => one,
         _ => fail("replay needs exactly one trace file"),
@@ -276,10 +266,7 @@ fn cmd_replay(args: &[String]) {
         .unwrap_or_else(|| "L".to_string());
     let seed = p.get_u64("seed").unwrap_or(meta.seed);
     let salt = p.get_u64("salt").unwrap_or(meta.seed_salt);
-    // Decode ahead of the simulation by default; 0 falls back to the
-    // inline sequential reader. Either way the result is bit-identical.
-    let decode_workers = p.get_u64("decode-workers").unwrap_or(2) as usize;
-    let engine = engine_for(&scheme, meta.threads(), insts, seed, salt, decode_workers);
+    let engine = engine_for(&scheme, meta.threads(), insts, seed, salt);
     let result = engine
         .run_trace(path)
         .unwrap_or_else(|e| fail(format!("{path}: {e}")));

@@ -56,9 +56,7 @@ use std::fs::File;
 use std::io::BufWriter;
 use std::path::Path;
 use std::sync::{Arc, Mutex};
-use tracegen::trace::{
-    self, CapturingSource, Compression, DecodeOptions, TraceError, TraceSource, TraceWriter,
-};
+use tracegen::trace::{self, CapturingSource, Compression, TraceError, TraceSource, TraceWriter};
 use tracegen::{BenchmarkProfile, TraceGenerator, TraceMeta, Workload};
 
 pub use cmpsim::runner::{parallel_map, IsolationCache};
@@ -72,7 +70,6 @@ pub struct SimEngineBuilder {
     fidelity: Option<ProfilerFidelity>,
     seed_salt: u64,
     isolation: Option<Arc<IsolationCache>>,
-    decode_workers: usize,
 }
 
 impl Default for SimEngineBuilder {
@@ -83,7 +80,6 @@ impl Default for SimEngineBuilder {
             fidelity: None,
             seed_salt: 0,
             isolation: None,
-            decode_workers: 0,
         }
     }
 }
@@ -162,15 +158,6 @@ impl SimEngineBuilder {
         self
     }
 
-    /// Decode trace-replay chunks ahead of consumption on `n` shared
-    /// worker threads (0, the default, decodes inline). Replay output is
-    /// identical at any worker count; this only moves the decode work
-    /// off the simulation thread.
-    pub fn decode_workers(mut self, n: usize) -> Self {
-        self.decode_workers = n;
-        self
-    }
-
     /// Finish the builder. An unset scheme defaults to the paper's
     /// unpartitioned LRU baseline (`L`).
     pub fn build(self) -> SimEngine {
@@ -182,7 +169,6 @@ impl SimEngineBuilder {
                 .with_fidelity(self.fidelity),
             seed_salt: self.seed_salt,
             isolation: self.isolation.unwrap_or_default(),
-            decode_workers: self.decode_workers,
         }
     }
 }
@@ -196,7 +182,6 @@ pub struct SimEngine {
     scheme: Scheme,
     seed_salt: u64,
     isolation: Arc<IsolationCache>,
-    decode_workers: usize,
 }
 
 impl Default for SimEngine {
@@ -365,7 +350,8 @@ impl SimEngine {
     /// engine's instruction target exceeds the recorded one (the
     /// recorded streams would run dry mid-simulation).
     /// Generator-streamed traces (`TraceMeta::insts == 0`) replay
-    /// cyclically and accept any target.
+    /// cyclically and accept any target. Chunks decode inline on the
+    /// thread that runs the system.
     pub fn system_from_trace(&self, path: impl AsRef<Path>) -> Result<System, TraceError> {
         let path = path.as_ref();
         let info = trace::load_info(path)?;
@@ -376,13 +362,7 @@ impl SimEngine {
                 info.meta.insts, self.cfg.insts_target
             )));
         }
-        System::from_trace_scheme_with(
-            &self.cfg,
-            path,
-            &self.scheme,
-            self.seed_salt,
-            &DecodeOptions::workers(self.decode_workers),
-        )
+        System::from_trace_scheme(&self.cfg, path, &self.scheme, self.seed_salt)
     }
 
     /// Replay the recorded trace at `path` to completion.

@@ -102,24 +102,30 @@ fn compressed_record_then_replay_reproduces_the_live_golden() {
         .run(&workload("2T_06").unwrap());
     let live_json = serde_json::to_string_pretty(&live).unwrap();
 
-    for workers in ["1", "4"] {
-        let json_path = tmp(&format!("plru_cli_v2_roundtrip_{workers}.json"));
-        let rep = run(trace_bin().args([
-            "replay",
-            path.to_str().unwrap(),
-            "--decode-workers",
-            workers,
-            "--json",
-            json_path.to_str().unwrap(),
-        ]));
-        assert!(rep.status.success(), "replay failed: {}", stderr(&rep));
-        let cli_json = std::fs::read_to_string(&json_path).unwrap();
-        let _ = std::fs::remove_file(&json_path);
-        assert!(
-            cli_json == live_json,
-            "v2 replay at {workers} workers drifted from the live golden"
-        );
-    }
+    let json_path = tmp("plru_cli_v2_roundtrip.json");
+    let rep = run(trace_bin().args([
+        "replay",
+        path.to_str().unwrap(),
+        "--json",
+        json_path.to_str().unwrap(),
+    ]));
+    assert!(rep.status.success(), "replay failed: {}", stderr(&rep));
+    let cli_json = std::fs::read_to_string(&json_path).unwrap();
+    let _ = std::fs::remove_file(&json_path);
+    assert!(
+        cli_json == live_json,
+        "v2 replay drifted from the live golden"
+    );
+
+    // The decode-worker knob is gone: a script still passing it learns
+    // so from a non-zero exit instead of having it silently ignored.
+    let stale = run(trace_bin().args(["replay", path.to_str().unwrap(), "--decode-workers", "2"]));
+    assert!(!stale.status.success(), "--decode-workers must be rejected");
+    assert!(
+        stderr(&stale).contains("unknown option --decode-workers"),
+        "{}",
+        stderr(&stale)
+    );
     let _ = std::fs::remove_file(&path);
 }
 
