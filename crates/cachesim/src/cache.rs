@@ -540,8 +540,8 @@ const PIPE_WINDOW: usize = 32;
 
 /// The monomorphized batch loop: one policy dispatch amortized over the
 /// whole access slice, software-pipelined through [`access_one_v2`].
-/// Optionally collects the missing accesses (the hierarchy forwards
-/// exactly those to the next level).
+/// Optionally collects the missing accesses (what a private cache would
+/// forward to the next level).
 ///
 /// Stage 1 decodes a [`PIPE_WINDOW`]-deep window — set index, tag and the
 /// broadcast probe signature per access — into stack arrays; stage 2 runs
@@ -812,8 +812,8 @@ impl Cache {
     }
 
     /// Like [`Cache::access_batch`], additionally appending every *missing*
-    /// access to `misses` in stream order — the hierarchy forwards exactly
-    /// those to the next level.
+    /// access to `misses` in stream order — exactly what a private cache
+    /// forwards to the next level.
     pub fn access_batch_collecting(
         &mut self,
         accesses: &[Access],

@@ -15,8 +15,8 @@
 //! * way-level partition **enforcement** in the three flavours the paper
 //!   evaluates ([`Enforcement`]): per-set owner counters (`C`), global
 //!   replacement way-masks (`M`), and BT up/down override vectors,
-//! * the composed [`Cache`] structure with per-core statistics, and a small
-//!   private-L1 + shared-L2 [`hierarchy`].
+//! * the composed [`Cache`] structure with per-core statistics, and the
+//!   per-core private L1 pair of the [`hierarchy`].
 //!
 //! All state transitions are implemented at *bit-accurate* granularity with
 //! respect to the paper's description so that the complexity formulas in the

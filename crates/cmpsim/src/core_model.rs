@@ -22,7 +22,7 @@ const CODE_BASE_BYTES: u64 = 1 << 60;
 pub struct CoreModel {
     source: Box<dyn TraceSource>,
     benchmark: String,
-    base_cpi: f64,
+    base: BaseCharge,
     code_lines: u64,
     insts_per_fetch_line: u64,
     /// Local clock in cycles.
@@ -31,8 +31,6 @@ pub struct CoreModel {
     pub insts: u64,
     /// Cycle at which the instruction target was reached (stats freeze).
     pub finish_cycle: Option<u64>,
-    /// Fractional-cycle accumulator for the base-CPI charge.
-    frac: f64,
     /// Sequential instruction-fetch cursor (line units).
     fetch_cursor: u64,
     /// Instructions since the last fetch-line boundary.
@@ -68,13 +66,12 @@ impl CoreModel {
         CoreModel {
             source,
             benchmark: profile.name.clone(),
-            base_cpi: profile.base_cpi,
+            base: BaseCharge::new(profile.base_cpi),
             code_lines: profile.code_lines.max(1),
             insts_per_fetch_line,
             cycle: 0,
             insts: 0,
             finish_cycle: None,
-            frac: 0.0,
             fetch_cursor: 0,
             fetch_accum: 0,
             // Multiprogrammed workloads have disjoint address spaces.
@@ -99,18 +96,15 @@ impl CoreModel {
     /// Charge the base (non-memory) cycles for `insts` instructions,
     /// returning the whole-cycle amount.
     pub fn charge_base(&mut self, insts: u64) -> u64 {
-        self.frac += insts as f64 * self.base_cpi;
-        let whole = self.frac as u64;
-        self.frac -= whole as f64;
-        whole
+        self.base.charge(insts)
     }
 
     /// Instruction-fetch line addresses covering `insts` sequentially
     /// executed instructions, appended to a caller-owned buffer (cleared
     /// first): the fetch cursor walks the benchmark's code footprint
     /// cyclically, one L1I line per `insts_per_fetch_line` instructions.
-    /// The simulator's hot loop reuses one buffer per system so the
-    /// batched fetch path never allocates per record.
+    /// The front end reuses one buffer per core, so fetch synthesis never
+    /// allocates per record.
     pub fn fetch_addrs_into(&mut self, insts: u64, out: &mut Vec<u64>) {
         out.clear();
         self.fetch_accum += insts;
@@ -122,13 +116,6 @@ impl CoreModel {
             self.fetch_cursor += 1;
             out.push(CODE_BASE_BYTES + (self.core_id << 40) + line * 128);
         }
-    }
-
-    /// Allocating convenience wrapper around [`CoreModel::fetch_addrs_into`].
-    pub fn fetch_addrs(&mut self, insts: u64) -> Vec<u64> {
-        let mut out = Vec::new();
-        self.fetch_addrs_into(insts, &mut out);
-        out
     }
 
     /// Has this core committed its target?
@@ -145,10 +132,42 @@ impl CoreModel {
 
     /// IPC at the freeze point (target instructions / cycles-at-finish).
     pub fn ipc(&self, target: u64) -> f64 {
-        match self.finish_cycle {
-            Some(c) if c > 0 => target as f64 / c as f64,
-            _ => 0.0,
-        }
+        ipc_at(target, self.finish_cycle)
+    }
+}
+
+/// IPC of a core that froze at `finish_cycle` after `target` instructions
+/// (0.0 before the freeze or at a zero-cycle freeze).
+pub(crate) fn ipc_at(target: u64, finish_cycle: Option<u64>) -> f64 {
+    match finish_cycle {
+        Some(c) if c > 0 => target as f64 / c as f64,
+        _ => 0.0,
+    }
+}
+
+/// The base-CPI charge of one core: `base_cpi` cycles per committed
+/// instruction, paid in whole cycles with the fractional remainder carried
+/// exactly, so long runs do not drift. [`CoreModel::charge_base`] and the
+/// system's back end share this one definition, so both sides charge the
+/// same cycles in the same order.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct BaseCharge {
+    cpi: f64,
+    frac: f64,
+}
+
+impl BaseCharge {
+    pub(crate) fn new(cpi: f64) -> Self {
+        BaseCharge { cpi, frac: 0.0 }
+    }
+
+    /// Whole cycles for `insts` more instructions.
+    #[inline]
+    pub(crate) fn charge(&mut self, insts: u64) -> u64 {
+        self.frac += insts as f64 * self.cpi;
+        let whole = self.frac as u64;
+        self.frac -= whole as f64;
+        whole
     }
 }
 
@@ -188,14 +207,16 @@ mod tests {
     #[test]
     fn fetch_lines_walk_the_code_footprint() {
         let mut c = core(); // gzip code_lines = 250
-        let addrs = c.fetch_addrs(64); // 64 insts / 32 per line = 2 lines
+        let mut addrs = Vec::new();
+        c.fetch_addrs_into(64, &mut addrs); // 64 insts / 32 per line = 2 lines
         assert_eq!(addrs.len(), 2);
         assert_eq!(addrs[1] - addrs[0], 128, "sequential lines");
         // After 250 lines the cursor wraps.
         let mut last = addrs[1];
         let mut wrapped = false;
         for _ in 0..300 {
-            for a in c.fetch_addrs(32) {
+            c.fetch_addrs_into(32, &mut addrs);
+            for &a in &addrs {
                 if a < last {
                     wrapped = true;
                 }
@@ -208,9 +229,13 @@ mod tests {
     #[test]
     fn fetch_accumulates_partial_groups() {
         let mut c = core();
-        assert!(c.fetch_addrs(10).is_empty());
-        assert!(c.fetch_addrs(10).is_empty());
-        assert_eq!(c.fetch_addrs(12).len(), 1, "32 insts accumulated");
+        let mut addrs = vec![7];
+        c.fetch_addrs_into(10, &mut addrs);
+        assert!(addrs.is_empty(), "the buffer is cleared first");
+        c.fetch_addrs_into(10, &mut addrs);
+        assert!(addrs.is_empty());
+        c.fetch_addrs_into(12, &mut addrs);
+        assert_eq!(addrs.len(), 1, "32 insts accumulated");
     }
 
     #[test]
@@ -235,7 +260,9 @@ mod tests {
     #[test]
     fn code_addresses_do_not_collide_with_data() {
         let mut c = core();
-        let fetch = c.fetch_addrs(32)[0];
+        let mut addrs = Vec::new();
+        c.fetch_addrs_into(32, &mut addrs);
+        let fetch = addrs[0];
         for _ in 0..1000 {
             let r = c.next_record();
             assert_ne!(r.addr, fetch);

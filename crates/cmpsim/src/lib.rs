@@ -30,6 +30,7 @@
 
 pub mod config;
 pub mod core_model;
+mod front_end;
 pub mod metrics;
 pub mod runner;
 pub mod solo;
@@ -37,6 +38,7 @@ pub mod system;
 
 pub use config::{Latencies, MachineConfig};
 pub use core_model::CoreModel;
+pub use front_end::FrontEndStats;
 pub use metrics::{harmonic_mean_of_relative_ipc, throughput, weighted_speedup, WorkloadMetrics};
 pub use runner::{parallel_map, IsolationCache, MemoStats};
 pub use solo::SoloStream;

@@ -1,19 +1,27 @@
-//! Experiment-fleet helpers: a scoped-thread parallel map and a shared
-//! cache of isolation IPCs.
+//! Experiment-fleet helpers: a scoped-thread parallel map and the sweep
+//! memo, a shared cache of isolation IPCs and of per-core front-end logs.
 //!
 //! Every figure needs dozens-to-hundreds of independent simulations; the
 //! runner fans them out across hardware threads with crossbeam scoped
-//! threads (no `'static` bound on the work items) and memoises the
-//! expensive isolation runs every relative metric divides by.
+//! threads (no `'static` bound on the work items), memoises the
+//! expensive isolation runs every relative metric divides by, and lets
+//! the cases of one mix share each core's front end.
 
 use crate::config::{Latencies, MachineConfig};
+use crate::core_model::CoreModel;
+use crate::front_end::{
+    Feed, FrontEnd, FrontEndKey, FrontEndStats, LogCounters, LogReader, SharedLog,
+};
 use crate::solo::SoloStream;
+use crate::system::System;
 use cachesim::{CacheGeometry, PolicyKind};
 use parking_lot::Mutex;
+use plru_core::Scheme;
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Condvar, MutexGuard, PoisonError};
+use std::sync::{Arc, Condvar, MutexGuard, PoisonError};
+use tracegen::Workload;
 
 /// Parallel map over `items`, preserving order. Work is distributed by an
 /// atomic cursor so uneven item costs (8-thread runs take 4x the work of
@@ -211,6 +219,20 @@ pub struct MemoStats {
 /// let stats = memo.stats();
 /// assert_eq!((stats.misses, stats.hits, stats.entries), (1, 1, 1));
 /// ```
+///
+/// **Front-end logs.** The memo also lets the cases of one mix share
+/// their cores' front ends. What a core's front end produces (records,
+/// fetch synthesis, private L1s) depends only on the benchmark, the
+/// core's trace seed and index, the L1 shapes and the fetch-line width —
+/// not on the scheme, the L2 or the other cores. A consumer that knows
+/// its upcoming cases registers each with
+/// [`IsolationCache::plan_front_ends`] (the sweep pool does so on
+/// submit), and [`IsolationCache::system`] then builds a system whose
+/// planned cores read one shared, lazily extended log per key instead of
+/// recomputing it. The results are bit-identical either way. A log is
+/// dropped when its last plan is withdrawn with
+/// [`IsolationCache::release_front_ends`]; [`FrontEndStats`] counts the
+/// records produced and read and the bytes held.
 #[derive(Debug, Default)]
 pub struct IsolationCache {
     /// A `std` mutex, because lookups wait on `settled`.
@@ -220,6 +242,16 @@ pub struct IsolationCache {
     hits: AtomicU64,
     misses: AtomicU64,
     passes: AtomicU64,
+    /// Planned front-end logs. Never held while a log is locked.
+    logs: Mutex<HashMap<FrontEndKey, PlannedLog>>,
+    log_counters: Arc<LogCounters>,
+}
+
+/// A shared front-end log and the number of plans that keep it alive.
+#[derive(Debug)]
+struct PlannedLog {
+    plans: usize,
+    log: Arc<SharedLog>,
 }
 
 impl IsolationCache {
@@ -405,6 +437,94 @@ impl IsolationCache {
     /// Is the cache empty?
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+
+    /// Announce that a system will run `benchmarks` (one per core, in
+    /// core order) on `cfg` under `seed_salt`, so that
+    /// [`IsolationCache::system`] reads each core's front end from a log
+    /// shared with every other planned case of the same key. Each call
+    /// should be matched by one [`IsolationCache::release_front_ends`]
+    /// once the system has run or is abandoned; the log is dropped at the
+    /// last release. Planning only decides who computes a front end,
+    /// never a value.
+    pub fn plan_front_ends(&self, cfg: &MachineConfig, benchmarks: &[String], seed_salt: u64) {
+        let mut logs = self.logs.lock();
+        for (core, b) in benchmarks.iter().enumerate() {
+            let key = FrontEndKey::new(cfg, b, core, seed_salt);
+            logs.entry(key.clone())
+                .or_insert_with(|| PlannedLog {
+                    plans: 0,
+                    log: Arc::new(SharedLog::new(key, self.log_counters.clone())),
+                })
+                .plans += 1;
+        }
+    }
+
+    /// Withdraw one [`IsolationCache::plan_front_ends`] call with the
+    /// same arguments, dropping the logs no plan holds any more (a system
+    /// still reading one keeps it until the system is dropped).
+    pub fn release_front_ends(&self, cfg: &MachineConfig, benchmarks: &[String], seed_salt: u64) {
+        let mut logs = self.logs.lock();
+        for (core, b) in benchmarks.iter().enumerate() {
+            let key = FrontEndKey::new(cfg, b, core, seed_salt);
+            if let Some(planned) = logs.get_mut(&key) {
+                planned.plans -= 1;
+                if planned.plans == 0 {
+                    // Dropping a log takes no lock.
+                    logs.remove(&key);
+                }
+            }
+        }
+    }
+
+    /// Build the system for `workload` on `cfg` under `scheme` and
+    /// `seed_salt`: a core whose front end is planned (see
+    /// [`IsolationCache::plan_front_ends`]) reads the shared log, any
+    /// other core steps its own live front end inline. The result of
+    /// `run` is bit-identical to [`System::from_workload_scheme`]'s.
+    ///
+    /// # Panics
+    /// If a benchmark is unknown or the workload's width is not
+    /// `cfg.num_cores`.
+    pub fn system(
+        &self,
+        cfg: &MachineConfig,
+        workload: &Workload,
+        scheme: &Scheme,
+        seed_salt: u64,
+    ) -> System {
+        let profiles = workload.profiles();
+        let shared: Vec<Option<Arc<SharedLog>>> = {
+            let logs = self.logs.lock();
+            workload
+                .benchmarks
+                .iter()
+                .enumerate()
+                .map(|(core, b)| {
+                    let key = FrontEndKey::new(cfg, b, core, seed_salt);
+                    logs.get(&key).map(|planned| planned.log.clone())
+                })
+                .collect()
+        };
+        let feeds = profiles
+            .iter()
+            .zip(shared)
+            .enumerate()
+            .map(|(core, (p, log))| match log {
+                Some(log) => Feed::Shared(LogReader::new(log)),
+                None => {
+                    let seed = System::thread_seed(cfg, core, seed_salt);
+                    let model = CoreModel::new(core, p.clone(), seed, cfg.insts_per_fetch_line);
+                    Feed::Inline(Box::new(FrontEnd::new(model, cfg.l1i, cfg.l1d)))
+                }
+            })
+            .collect();
+        System::from_feeds(cfg, &profiles, feeds, scheme, seed_salt)
+    }
+
+    /// Snapshot of the front-end log counters (see [`FrontEndStats`]).
+    pub fn front_end_stats(&self) -> FrontEndStats {
+        self.log_counters.stats()
     }
 }
 

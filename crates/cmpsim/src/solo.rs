@@ -38,9 +38,9 @@
 //! ```
 
 use crate::config::{Latencies, MachineConfig};
-use crate::core_model::CoreModel;
+use crate::core_model::{BaseCharge, CoreModel};
+use crate::front_end::FrontEnd;
 use crate::system::System;
-use cachesim::hierarchy::L1Pair;
 use cachesim::{Access, BatchStats, Cache, CacheConfig, CacheGeometry, PolicyKind};
 use tracegen::BenchmarkProfile;
 
@@ -68,38 +68,31 @@ pub struct SoloStream {
 
 impl SoloStream {
     /// Run `profile`'s front end alone on the single-core machine `solo`
-    /// under `seed_salt`: core 0's generator, the same private L1s and
-    /// fetch synthesis as `System::run`, up to and including the record
-    /// whose instructions reach `solo.insts_target`. `solo.l2` and
-    /// `solo.num_cores` are not read.
+    /// under `seed_salt`: core 0's generator stepped by the same front end
+    /// (fetch synthesis, private L1s) as `System::run`, up to and
+    /// including the record whose instructions reach `solo.insts_target`.
+    /// `solo.l2` and `solo.num_cores` are not read.
     pub fn capture(solo: &MachineConfig, profile: &BenchmarkProfile, seed_salt: u64) -> Self {
-        let mut core = CoreModel::new(
+        let core = CoreModel::new(
             0,
             profile.clone(),
             System::thread_seed(solo, 0, seed_salt),
             solo.insts_per_fetch_line,
         );
-        let mut l1 = L1Pair::new(solo.l1i, solo.l1d);
-        let mut fetch = Vec::new();
+        let mut front = FrontEnd::new(core, solo.l1i, solo.l1d);
+        let mut base = BaseCharge::new(profile.base_cpi);
         let mut addrs = Vec::new();
-        let mut base_cycles = 0u64;
+        let (mut base_cycles, mut insts) = (0u64, 0u64);
         // `System::run` advances a core at least once and freezes it at
         // the first record that reaches the target: a do-while.
         loop {
-            let rec = core.next_record();
-            let insts = rec.instructions();
-            base_cycles += core.charge_base(insts);
-            core.fetch_addrs_into(insts, &mut fetch);
-            for &a in &fetch {
-                if !l1.icache.access(0, a, false).hit {
-                    addrs.push(a);
-                }
+            let entry = front.step(|a| addrs.push(a));
+            base_cycles += base.charge(entry.insts);
+            if entry.data_miss {
+                addrs.push(entry.addr);
             }
-            if !l1.dcache.access(0, rec.addr, rec.is_write).hit {
-                addrs.push(rec.addr);
-            }
-            core.insts += insts;
-            if core.insts >= solo.insts_target {
+            insts += entry.insts;
+            if insts >= solo.insts_target {
                 break;
             }
         }

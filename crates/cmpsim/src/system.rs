@@ -1,9 +1,21 @@
-//! The full CMP system: cores + hierarchy + optional dynamic CPA.
+//! The full CMP system: per-core front ends feeding one shared-L2 back
+//! end, with an optional dynamic CPA.
+//!
+//! Each core's front end (the `front_end` module) pulls records, synthesises
+//! instruction fetches and runs the private L1s. The back end,
+//! [`System::run`], owns everything shared: it advances the core with the
+//! smallest local clock, sends that core's L1 misses to the L2 and the
+//! CPA, repartitions at interval boundaries and freezes each core at its
+//! instruction target. A front end is either stepped inline, one record
+//! at a time, or read from a log shared by every case of a sweep that
+//! runs the same core on the same stream (see
+//! [`IsolationCache::system`](crate::IsolationCache::system)); the two
+//! give bit-identical results.
 
 use crate::config::MachineConfig;
-use crate::core_model::CoreModel;
-use cachesim::hierarchy::{BatchScratch, Hierarchy, MemLevel};
-use cachesim::CacheStats;
+use crate::core_model::{ipc_at, BaseCharge, CoreModel};
+use crate::front_end::{Feed, FrontEnd};
+use cachesim::{Access, BatchStats, Cache, CacheConfig, CacheStats};
 use plru_core::{CpaController, Scheme};
 use serde::{Deserialize, Serialize};
 use std::path::Path;
@@ -62,18 +74,35 @@ impl SimResult {
 /// A runnable CMP system.
 pub struct System {
     cfg: MachineConfig,
-    hierarchy: Hierarchy,
-    cores: Vec<CoreModel>,
+    /// The shared L2.
+    l2: Cache,
+    lanes: Vec<Lane>,
     controller: Option<CpaController>,
     next_interval: u64,
     intervals: u64,
     /// Per-core L2 miss counts at the previous interval boundary (the
     /// controller's adaptive-scale feedback).
     last_misses: Vec<u64>,
-    /// Reusable instruction-fetch address buffer (one record's fetch group).
-    fetch_buf: Vec<u64>,
-    /// Reusable buffers for the batched L1I → L2 fetch path.
-    scratch: BatchScratch,
+    /// Per-core L2 misses since the previous boundary, rebuilt in place
+    /// at every boundary.
+    miss_deltas: Vec<u64>,
+    /// The current record's L1I misses as L2 accesses, in stream order.
+    fetch_misses: Vec<Access>,
+}
+
+/// The back end's state of one core: its front end, its timing and its
+/// L1 miss counts.
+struct Lane {
+    feed: Feed,
+    base: BaseCharge,
+    /// Local clock in cycles.
+    cycle: u64,
+    /// Committed instructions.
+    insts: u64,
+    /// Cycle at which the instruction target was reached.
+    finish_cycle: Option<u64>,
+    l1i_misses: u64,
+    l1d_misses: u64,
 }
 
 impl System {
@@ -112,7 +141,8 @@ impl System {
     /// Build a system over explicit per-core [`TraceSource`]s — the
     /// extension point behind live synthesis, trace capture and trace
     /// replay. `profiles` supply only the per-core timing model; the
-    /// memory-access streams come from `sources`.
+    /// memory-access streams come from `sources`. Every core's front end
+    /// runs inline.
     ///
     /// The [`Scheme`] carries the whole replacement/partitioning
     /// configuration; its construction already guaranteed that the CPA's
@@ -127,24 +157,50 @@ impl System {
     ) -> Self {
         assert_eq!(profiles.len(), cfg.num_cores, "one benchmark per core");
         assert_eq!(sources.len(), cfg.num_cores, "one trace source per core");
-        let mut hierarchy = Hierarchy::new(
-            cfg.num_cores,
-            cfg.l1i,
-            cfg.l1d,
-            cfg.l2,
-            scheme.policy(),
-            cfg.seed ^ seed_salt,
-        );
-        let controller = scheme.cpa().map(|c| {
-            let ctl = CpaController::new(c.clone(), cfg.l2, cfg.num_cores);
-            hierarchy.l2.set_enforcement(ctl.initial_enforcement());
-            ctl
-        });
-        let cores = profiles
+        let feeds = profiles
             .iter()
             .zip(sources)
             .enumerate()
-            .map(|(i, (p, source))| CoreModel::from_source(i, p, source, cfg.insts_per_fetch_line))
+            .map(|(i, (p, source))| {
+                let core = CoreModel::from_source(i, p, source, cfg.insts_per_fetch_line);
+                Feed::Inline(Box::new(FrontEnd::new(core, cfg.l1i, cfg.l1d)))
+            })
+            .collect();
+        Self::from_feeds(cfg, profiles, feeds, scheme, seed_salt)
+    }
+
+    /// Build a system over ready front ends, one per core in core order.
+    pub(crate) fn from_feeds(
+        cfg: &MachineConfig,
+        profiles: &[BenchmarkProfile],
+        feeds: Vec<Feed>,
+        scheme: &Scheme,
+        seed_salt: u64,
+    ) -> Self {
+        assert_eq!(profiles.len(), cfg.num_cores, "one benchmark per core");
+        let mut l2 = Cache::new(CacheConfig {
+            geometry: cfg.l2,
+            policy: scheme.policy(),
+            num_cores: cfg.num_cores,
+            seed: cfg.seed ^ seed_salt,
+        });
+        let controller = scheme.cpa().map(|c| {
+            let ctl = CpaController::new(c.clone(), cfg.l2, cfg.num_cores);
+            l2.set_enforcement(ctl.initial_enforcement());
+            ctl
+        });
+        let lanes = profiles
+            .iter()
+            .zip(feeds)
+            .map(|(p, feed)| Lane {
+                feed,
+                base: BaseCharge::new(p.base_cpi),
+                cycle: 0,
+                insts: 0,
+                finish_cycle: None,
+                l1i_misses: 0,
+                l1d_misses: 0,
+            })
             .collect();
         let next_interval = controller
             .as_ref()
@@ -152,14 +208,14 @@ impl System {
             .unwrap_or(u64::MAX);
         System {
             last_misses: vec![0; cfg.num_cores],
+            miss_deltas: Vec::with_capacity(cfg.num_cores),
             cfg: cfg.clone(),
-            hierarchy,
-            cores,
+            l2,
+            lanes,
             controller,
             next_interval,
             intervals: 0,
-            fetch_buf: Vec::new(),
-            scratch: BatchScratch::new(),
+            fetch_misses: Vec::new(),
         }
     }
 
@@ -220,20 +276,13 @@ impl System {
         ))
     }
 
-    fn penalty(&self, level: MemLevel) -> u64 {
-        match level {
-            MemLevel::L1 => 0,
-            MemLevel::L2 => self.cfg.latencies.l1_miss,
-            MemLevel::Memory => self.cfg.latencies.l1_miss + self.cfg.latencies.l2_miss,
-        }
-    }
-
     /// Run to completion: every core commits `insts_target` instructions;
     /// finished cores keep executing (keeping contention realistic) until
     /// the last core freezes.
     pub fn run(&mut self) -> SimResult {
         let target = self.cfg.insts_target;
-        let n = self.cores.len();
+        let lat = self.cfg.latencies;
+        let n = self.lanes.len();
         let mut frozen: Vec<Option<CoreResult>> = vec![None; n];
         let mut done = 0usize;
 
@@ -241,78 +290,75 @@ impl System {
             // Advance the core with the smallest local clock: simulated
             // time order, so L2 interleaving is realistic.
             let c = (0..n)
-                .min_by_key(|&i| self.cores[i].cycle)
+                .min_by_key(|&i| self.lanes[i].cycle)
                 .expect("at least one core");
-            let now = self.cores[c].cycle;
 
             // Interval boundary?
-            if now >= self.next_interval {
+            if self.lanes[c].cycle >= self.next_interval {
                 if let Some(ctl) = &mut self.controller {
-                    let misses: Vec<u64> = (0..n)
-                        .map(|i| {
-                            let total = self.hierarchy.l2.stats().core(i).misses;
-                            let delta = total - self.last_misses[i];
-                            self.last_misses[i] = total;
-                            delta
-                        })
-                        .collect();
-                    let enforcement = ctl.on_interval_with_feedback(Some(&misses));
-                    self.hierarchy.l2.set_enforcement(enforcement);
+                    let stats = self.l2.stats();
+                    self.miss_deltas.clear();
+                    for (i, last) in self.last_misses.iter_mut().enumerate() {
+                        let total = stats.core(i).misses;
+                        self.miss_deltas.push(total - *last);
+                        *last = total;
+                    }
+                    let enforcement = ctl.on_interval_with_feedback(Some(&self.miss_deltas));
+                    self.l2.set_enforcement(enforcement);
                     self.intervals += 1;
                     self.next_interval += ctl.interval_cycles();
                 }
             }
 
-            let rec = self.cores[c].next_record();
-            let insts = rec.instructions();
-            let mut latency = self.cores[c].charge_base(insts);
+            let lane = &mut self.lanes[c];
+            let fetch_misses = &mut self.fetch_misses;
+            let entry = lane
+                .feed
+                .next(|addr| fetch_misses.push(Access::read(c, addr)));
+            let mut latency = lane.base.charge(entry.insts);
 
-            // Instruction fetches: the record's whole fetch group runs
-            // through the batched L1I → L2 kernel; per-level counts charge
-            // the same summed penalties as the scalar per-access walk.
-            self.cores[c].fetch_addrs_into(insts, &mut self.fetch_buf);
-            if !self.fetch_buf.is_empty() {
-                let levels =
-                    self.hierarchy
-                        .access_inst_batch(c, &self.fetch_buf, &mut self.scratch);
-                latency += levels.l2_accesses() * self.cfg.latencies.l1_miss
-                    + levels.memory * self.cfg.latencies.l2_miss;
+            // The record's fetch misses reach the L2 as one batch, and the
+            // ATDs observe them in stream order, before the data miss.
+            if !fetch_misses.is_empty() {
+                let mut l2 = BatchStats::default();
+                self.l2.access_batch(fetch_misses, &mut l2);
+                latency += (l2.hits + l2.misses) * lat.l1_miss + l2.misses * lat.l2_miss;
+                lane.l1i_misses += fetch_misses.len() as u64;
                 if let Some(ctl) = &mut self.controller {
-                    // The ATDs observe every fetch that left the L1, in
-                    // stream order — exactly as the scalar path did.
-                    for a in self.scratch.l2_accesses() {
+                    for a in fetch_misses.iter() {
                         ctl.observe(c, a.addr);
                     }
                 }
+                fetch_misses.clear();
             }
 
-            // The data access.
-            let out = self.hierarchy.access_data(c, rec.addr, rec.is_write);
-            latency += self.penalty(out.level);
-            if out.level != MemLevel::L1 {
+            // The data access, if it left the L1D.
+            if entry.data_miss {
+                lane.l1d_misses += 1;
+                latency += lat.l1_miss;
+                if !self.l2.access(c, entry.addr, entry.write).hit {
+                    latency += lat.l2_miss;
+                }
                 if let Some(ctl) = &mut self.controller {
-                    ctl.observe(c, rec.addr);
+                    ctl.observe(c, entry.addr);
                 }
             }
 
-            let core = &mut self.cores[c];
-            core.cycle += latency;
-            core.insts += insts;
-            if !core.finished() {
-                core.maybe_finish(target);
-                if core.finished() {
-                    let l2 = self.hierarchy.l2.stats().core(c);
-                    frozen[c] = Some(CoreResult {
-                        insts: target,
-                        cycles: core.finish_cycle.expect("just finished"),
-                        ipc: core.ipc(target),
-                        l2_accesses: l2.accesses,
-                        l2_misses: l2.misses,
-                        l1d_misses: self.hierarchy.l1(c).dcache.stats().core(0).misses,
-                        l1i_misses: self.hierarchy.l1(c).icache.stats().core(0).misses,
-                    });
-                    done += 1;
-                }
+            lane.cycle += latency;
+            lane.insts += entry.insts;
+            if lane.finish_cycle.is_none() && lane.insts >= target {
+                lane.finish_cycle = Some(lane.cycle);
+                let l2 = self.l2.stats().core(c);
+                frozen[c] = Some(CoreResult {
+                    insts: target,
+                    cycles: lane.cycle,
+                    ipc: ipc_at(target, lane.finish_cycle),
+                    l2_accesses: l2.accesses,
+                    l2_misses: l2.misses,
+                    l1d_misses: lane.l1d_misses,
+                    l1i_misses: lane.l1i_misses,
+                });
+                done += 1;
             }
         }
 
@@ -330,7 +376,7 @@ impl System {
                 .as_ref()
                 .map(|c| c.allocation().to_vec())
                 .unwrap_or_default(),
-            l2_stats: self.hierarchy.l2.stats().clone(),
+            l2_stats: self.l2.stats().clone(),
             cores,
         }
     }
@@ -551,6 +597,58 @@ mod tests {
         };
         assert!(err.to_string().contains("cores"), "{err}");
         let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn the_l2_sees_exactly_the_l1_misses() {
+        let cfg = quick_cfg(4);
+        let wl = workload("4T_02").unwrap();
+        for scheme in ["L", "M-BT"] {
+            let r = System::from_workload_scheme(&cfg, &wl, &scheme.parse().unwrap(), 4).run();
+            for (i, c) in r.cores.iter().enumerate() {
+                assert!(c.l1d_misses > 0 && c.l1i_misses > 0, "core {i}: {c:?}");
+                assert_eq!(c.l2_accesses, c.l1d_misses + c.l1i_misses, "core {i}");
+            }
+        }
+    }
+
+    #[test]
+    fn an_l1_victim_still_hits_in_the_l2() {
+        use cachesim::CacheGeometry;
+        use tracegen::MemRecord;
+
+        /// Three lines that share one set of a 4-set, 2-way L1D.
+        #[derive(Debug)]
+        struct SameSet(u64);
+        impl TraceSource for SameSet {
+            fn next_record(&mut self) -> MemRecord {
+                self.0 += 1;
+                MemRecord {
+                    gap: 0,
+                    addr: (self.0 - 1) % 3 * 64 * 4,
+                    is_write: false,
+                }
+            }
+        }
+
+        let mut cfg = quick_cfg(1);
+        cfg.l1d = CacheGeometry::new(512, 2, 64).unwrap();
+        cfg.l2 = CacheGeometry::new(4096, 4, 64).unwrap();
+        cfg.insts_target = 4; // four one-instruction records, no fetch line
+        let profiles = vec![tracegen::benchmark("gzip").unwrap()];
+        let sources: Vec<Box<dyn TraceSource>> = vec![Box::new(SameSet(0))];
+        let r = System::from_sources_scheme(
+            &cfg,
+            &profiles,
+            sources,
+            &Scheme::bare(PolicyKind::Lru),
+            0,
+        )
+        .run();
+        let c = r.cores[0];
+        assert_eq!(c.l1d_misses, 4, "the third line evicts the first");
+        assert_eq!(c.l2_accesses, 4);
+        assert_eq!(c.l2_misses, 3, "the evicted line hits in the bigger L2");
     }
 
     #[test]

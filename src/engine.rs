@@ -17,17 +17,17 @@
 //! deprecated shims and are gone; `Scheme` is the one config currency.
 //!
 //! Dispatch stays enum-based end to end ([`PolicyKind`] / [`CpaConfig`]):
-//! there are no trait objects anywhere on the per-access hot path. Every
-//! simulation the engine builds runs on the cache's *batched* access
-//! kernel (`cachesim::Cache::access_batch` under
-//! `cmpsim::System::run`'s fetch path), which dispatches on the policy
-//! once per trace chunk instead of once per access; the scalar
-//! `Cache::access` survives as the property-tested oracle.
+//! there are no trait objects anywhere on the per-access hot path. A
+//! record's instruction-fetch misses reach the shared L2 through the
+//! cache's *batched* access kernel (`cachesim::Cache::access_batch`),
+//! which dispatches on the policy once per batch instead of once per
+//! access.
 //!
 //! The experiment-fleet helpers live here too: [`parallel_map`] fans
 //! independent simulations out over hardware threads, and the engine
 //! carries a shared [`IsolationCache`] so every relative metric divides
-//! by a memoised isolation run instead of recomputing it.
+//! by a memoised isolation run instead of recomputing it, and the cases
+//! a sweep pool planned on it share their cores' front ends.
 //!
 //! Every engine can also run from the **recorded-trace backend**:
 //! [`SimEngine::record_trace`] captures exactly the per-thread streams a
@@ -224,8 +224,14 @@ impl SimEngine {
 
     /// Build (but do not run) the system for a workload — for callers
     /// that need mid-run access, e.g. the controller's partition history.
+    ///
+    /// Cores whose front ends are planned on the engine's memo (a sweep
+    /// pool plans each case it runs) read the memo's shared front-end
+    /// logs; the rest run their own inline. Either way the result is
+    /// bit-identical to [`System::from_workload_scheme`].
     pub fn system(&self, workload: &Workload) -> System {
-        System::from_workload_scheme(&self.cfg, workload, &self.scheme, self.seed_salt)
+        self.isolation
+            .system(&self.cfg, workload, &self.scheme, self.seed_salt)
     }
 
     /// Build (but do not run) the system for an explicit benchmark list.

@@ -168,9 +168,12 @@ impl WorkerPool {
     ///
     /// The case's isolation keys join the memo's plan (see
     /// [`IsolationCache::plan`]), so the first solo pass of each of its
-    /// benchmarks also fills the keys of cases still queued.
+    /// benchmarks also fills the keys of cases still queued. A live
+    /// case's cores also plan their front ends
+    /// ([`IsolationCache::plan_front_ends`]), so the cases of one mix
+    /// share each core's front-end log.
     pub fn submit(&self, task: CaseTask) {
-        plan_isolation(&self.shared.isolation, &task.case);
+        plan_case(&self.shared.isolation, &task.case);
         self.shared.queue.push(task);
         // Take the lock so the notify cannot race a worker between its
         // empty-queue check and its wait.
@@ -240,7 +243,7 @@ impl WorkerPool {
         // their submission total terminate instead of hanging.
         while let Steal::Success(task) = self.shared.queue.steal() {
             let index = task.case.index;
-            release_isolation_plan(&self.shared.isolation, &task.case);
+            release_case(&self.shared.isolation, &task.case);
             let _ = task.sink.send(CaseOutcome::Skipped { index });
         }
     }
@@ -294,30 +297,31 @@ fn run_task(task: CaseTask, shared: &PoolShared) {
     };
     // A finished case has looked up (and so filled) all its planned
     // keys; a skipped or failed one withdraws what it never looked up.
-    release_isolation_plan(&shared.isolation, &task.case);
+    // Its system is gone, so the last case of a mix frees the mix's
+    // front-end logs here.
+    release_case(&shared.isolation, &task.case);
     // A closed sink means the job's collector is gone (client vanished
     // and the job was torn down); nothing is owed to anyone.
     let _ = task.sink.send(outcome);
 }
 
-/// Register the isolation lookups [`run_case`] will make for `case`.
-fn plan_isolation(isolation: &IsolationCache, case: &ScenarioCase) {
-    isolation.plan(
-        &case.machine(),
-        &case.benchmarks,
-        case.scheme.policy(),
-        case.seed_salt,
-    );
+/// Register the isolation lookups [`run_case`] will make for `case` and,
+/// unless it replays a recorded trace, its cores' front ends.
+fn plan_case(isolation: &IsolationCache, case: &ScenarioCase) {
+    let cfg = case.machine();
+    isolation.plan(&cfg, &case.benchmarks, case.scheme.policy(), case.seed_salt);
+    if case.recorded.is_none() {
+        isolation.plan_front_ends(&cfg, &case.benchmarks, case.seed_salt);
+    }
 }
 
-/// Withdraw what [`plan_isolation`] registered for `case`.
-fn release_isolation_plan(isolation: &IsolationCache, case: &ScenarioCase) {
-    isolation.release_plan(
-        &case.machine(),
-        &case.benchmarks,
-        case.scheme.policy(),
-        case.seed_salt,
-    );
+/// Withdraw what [`plan_case`] registered for `case`.
+fn release_case(isolation: &IsolationCache, case: &ScenarioCase) {
+    let cfg = case.machine();
+    isolation.release_plan(&cfg, &case.benchmarks, case.scheme.policy(), case.seed_salt);
+    if case.recorded.is_none() {
+        isolation.release_front_ends(&cfg, &case.benchmarks, case.seed_salt);
+    }
 }
 
 fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
