@@ -31,6 +31,7 @@ use crate::scenario::expand::ScenarioCase;
 use crate::scenario::report::CaseReport;
 use cmpsim::WorkloadMetrics;
 use crossbeam::deque::{Injector, Steal};
+use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::Sender;
@@ -185,19 +186,21 @@ impl WorkerPool {
     /// in slice order — the one-shot orchestration used by
     /// [`SweepRunner`](crate::scenario::SweepRunner). Each report keeps
     /// its case's own `index`, which need not be the case's position
-    /// (a subset of an expanded spec, say). Panics if a case panicked
-    /// (matching the old scoped-runner behaviour).
+    /// (a subset of an expanded spec, say). Cases are queued a window of
+    /// `workers` mixes at a time, each window's first cases first (see
+    /// `queue_order`); the reports still follow the slice. Panics if a
+    /// case panicked (matching the old scoped-runner behaviour).
     pub fn run_ordered(&self, cases: &[ScenarioCase]) -> Vec<CaseReport> {
         let (tx, rx) = std::sync::mpsc::channel();
         let never_cancelled = Arc::new(AtomicBool::new(false));
         // Outcomes come back tagged with the submitted case's index, so
         // submit each case under its position and restore the index on
         // the report.
-        for (pos, case) in cases.iter().enumerate() {
+        for pos in queue_order(cases, self.workers) {
             self.submit(CaseTask {
                 case: ScenarioCase {
                     index: pos,
-                    ..case.clone()
+                    ..cases[pos].clone()
                 },
                 cancelled: never_cancelled.clone(),
                 sink: tx.clone(),
@@ -303,6 +306,51 @@ fn run_task(task: CaseTask, shared: &PoolShared) {
     // A closed sink means the job's collector is gone (client vanished
     // and the job was torn down); nothing is owed to anyone.
     let _ = task.sink.send(outcome);
+}
+
+/// The order in which to queue `cases` on `workers` workers, as
+/// positions in `cases`.
+///
+/// Live cases of the same benchmarks, seed and salt read the same
+/// front-end logs (the core count fixes the rest of the key): the first
+/// of them to run produces each chunk, the others read it. A reader that
+/// starts while the producer still runs soon catches up with it and then
+/// waits for every chunk, so two workers run in lockstep and a stall of
+/// either stalls both. So the groups are taken `workers` at a time: the
+/// first cases of a window's groups are queued first, to run side by
+/// side, and only then the groups' other cases, in expansion order. A
+/// window's logs are alive together, so about `workers` groups' logs are
+/// alive at once, as in expansion order. A recorded case reads no log and
+/// is a group of its own. With one worker the order is the given one.
+pub(crate) fn queue_order(cases: &[ScenarioCase], workers: usize) -> Vec<usize> {
+    if workers < 2 {
+        return (0..cases.len()).collect();
+    }
+    let mut groups: Vec<Vec<usize>> = Vec::new();
+    let mut by_key: HashMap<(&[String], u64, u64), usize> = HashMap::new();
+    for (pos, case) in cases.iter().enumerate() {
+        let key =
+            case.recorded
+                .is_none()
+                .then_some((&case.benchmarks[..], case.seed, case.seed_salt));
+        match key.and_then(|k| by_key.get(&k)) {
+            Some(&g) => groups[g].push(pos),
+            None => {
+                if let Some(k) = key {
+                    by_key.insert(k, groups.len());
+                }
+                groups.push(vec![pos]);
+            }
+        }
+    }
+    let mut order = Vec::with_capacity(cases.len());
+    for window in groups.chunks(workers) {
+        order.extend(window.iter().map(|g| g[0]));
+        for group in window {
+            order.extend(&group[1..]);
+        }
+    }
+    order
 }
 
 /// Register the isolation lookups [`run_case`] will make for `case` and,
@@ -537,6 +585,42 @@ mod tests {
             assert_eq!(r.isolation_ipcs, solo, "case {}", r.case.index);
         }
         pool.shutdown();
+    }
+
+    #[test]
+    fn each_window_of_groups_queues_its_producers_first() {
+        let mut cases = ScenarioSpec {
+            name: "pool-order".into(),
+            insts: Some(1_000),
+            workloads: ["2T_01", "2T_02", "2T_03"]
+                .iter()
+                .map(|w| WorkloadSel::Named(w.to_string()))
+                .collect(),
+            schemes: vec!["L".into(), "N".into()].into(),
+            l2_sizes: Some(vec![512 * 1024, 2 * 1024 * 1024]),
+            ..Default::default()
+        }
+        .expand()
+        .unwrap();
+        // Three groups of four cases, workload-major, taken a worker
+        // count of groups at a time.
+        assert_eq!(cases.len(), 12);
+        assert_eq!(queue_order(&cases, 1), (0..12).collect::<Vec<_>>());
+        assert_eq!(
+            queue_order(&cases, 2),
+            [0, 4, 1, 2, 3, 5, 6, 7, 8, 9, 10, 11]
+        );
+        assert_eq!(
+            queue_order(&cases, 3),
+            [0, 4, 8, 1, 2, 3, 5, 6, 7, 9, 10, 11]
+        );
+        // Another salt or a recorded trace is another group.
+        cases[1].seed_salt = 7;
+        cases[2].recorded = Some("t.pltc".into());
+        assert_eq!(
+            queue_order(&cases, 2),
+            [0, 1, 3, 2, 4, 5, 6, 7, 8, 9, 10, 11]
+        );
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //! exist: a resubmitted spec reuses every solo-run IPC the first run
 //! paid for (`memo_misses == 0` in its [`JobSummary`]).
 
-use crate::scenario::pool::{CaseTask, WorkerPool};
+use crate::scenario::pool::{queue_order, CaseTask, WorkerPool};
 use crate::scenario::{CaseOutcome, CaseReport, ScenarioSpec, SweepReport};
 use crate::service::journal::{Journal, JournalError, JournalState};
 use crate::service::protocol::{
@@ -501,8 +501,9 @@ fn open_journal(
     Journal::create(&path, spec, total).map(Some)
 }
 
-/// Submit `cases` to the pool and spawn the thread that owns the job's
-/// journal and result slots until every outcome is in.
+/// Submit `cases` to the pool (in `queue_order`) and spawn the thread
+/// that owns the job's journal and result slots until every outcome is
+/// in.
 fn spawn_collector(
     shared: &Arc<ServerShared>,
     job: Arc<JobShared>,
@@ -512,9 +513,9 @@ fn spawn_collector(
 ) {
     let (tx, rx) = std::sync::mpsc::channel();
     let expected = cases.len();
-    for case in cases {
+    for pos in queue_order(&cases, shared.pool.workers()) {
         shared.pool.submit(CaseTask {
-            case,
+            case: cases[pos].clone(),
             cancelled: job.cancelled.clone(),
             sink: tx.clone(),
         });
